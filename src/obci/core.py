@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Iterator
 
 DEFAULT_WITNESS_CAP = 32
@@ -121,7 +122,7 @@ class RawStructure:
         if len(self.order) != n or any(len(row) != n for row in self.order):
             raise StructureError(f"{self.name}: order matrix must be {n} x {n}")
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.labels)
 
@@ -308,7 +309,8 @@ def validate(s: RawStructure, *,
     algebra = ValidatedAlgebra(s, Subset.from_indices(s, s.cone_members()))
     # OBCI-3/4 plus cone-transitivity make the relation a partial order;
     # anything else here is an implementation bug.
-    assert all(r.holds for r in relation_reports(s)), "validated relation is not a partial order"
+    if not all(r.holds for r in relation_reports(s)):
+        raise RuntimeError("validated relation is not a partial order")
     return algebra
 
 

@@ -11,12 +11,20 @@ matrices provides the independent completeness oracle at small sizes.
 (enumerated sizes or the bundled fixtures), counting hypothesis-skipped
 instances and collecting counterexamples; `find_counterexample` answers
 separating-example queries such as "hom-not-omap".
+
+The four product claims (`T-pairmap-ohom`, `T-product-kernel`,
+`T-product-kernel-projection`, `T-ksets`) quantify over ordered pairs of
+O-homomorphisms.  A serial `verify_all` checks every product claim it is
+given in one shared pass over those pairs, building each pair map, its
+kernel and each product once; `verify_claim`, and so each `--jobs`
+worker, runs a single product claim through the same pass.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import fixtures as fixture_lib
 from . import scan
@@ -42,7 +50,13 @@ from .morphisms import (
     monotonicity_report,
     preimage,
 )
-from .products import k_upper_sets, pair_map, product_structure, projection_kernels
+from .products import (
+    ProductAlgebra,
+    k_upper_sets,
+    pair_map,
+    product_structure,
+    projection_kernels,
+)
 from .substructures import (
     is_filter,
     is_ordered_filter,
@@ -191,6 +205,9 @@ class _Pool:
         self.fixture_maps = fixture_maps
         self._by_structure = {a.structure: a for a in algebras}
         self._map_cache: dict[tuple[int, int], list] = {}
+        # Product claims a sweep asks for, run together on the first request.
+        self.product_claims: tuple[str, ...] = ()
+        self._product_results: dict[str, tuple] = {}
 
     def lookup(self, s: RawStructure) -> ValidatedAlgebra | None:
         return self._by_structure.get(s)
@@ -221,8 +238,22 @@ class _Pool:
                     yield (A, B, m, cls)
 
     def ohoms(self):
-        return [(A, B, m, cls) for A, B, m, cls in self.maps()
+        """(source index, target index, map) for every O-homomorphism
+        between pool algebras, in map order."""
+        index = {id(a): i for i, a in enumerate(self.algebras)}
+        return [(index[id(A)], index[id(B)], m) for A, B, m, cls in self.maps()
                 if A is not None and B is not None and cls.is_ohom]
+
+    def product_sweep(self, claim: str, cap):
+        """One product claim's (checked, skipped, counterexamples).
+
+        The first request runs it together with `product_claims` in one
+        pass over the O-homomorphism pairs; later requests read the result.
+        """
+        if claim not in self._product_results:
+            claims = tuple(dict.fromkeys((claim, *self.product_claims)))
+            self._product_results.update(_run_products(self, cap, claims))
+        return self._product_results[claim]
 
 
 def _pool_for(sizes=None, fixtures=None, *, up_to_iso=False) -> _Pool:
@@ -476,113 +507,112 @@ def _run_bijection(pool, cap, *, ordered):
     return checked, skipped, ces
 
 
-def _product_pairs(pool):
-    """Pairs of O-homomorphisms with their (cached) source/target products.
-
-    Yields (f1, f2, hypothesis_ok, source_product, target_product) where
-    hypothesis_ok means both products satisfy the axioms.
-    """
-    from .products import ProductAlgebra
-
-    ohoms = pool.ohoms()
-    cache: dict[tuple, tuple] = {}
-
-    def product_of(left, right):
-        key = (left, right)
-        if key not in cache:
-            combined = product_structure(left, right)
-            valid = all(check_axiom(combined, a, witness_cap=1).holds
-                        for a in AXIOM_IDS)
-            cache[key] = (ProductAlgebra(left, right, combined), valid)
-        return cache[key]
-
-    for (A1, B1, f1, _), (A2, B2, f2, _) in itertools.product(ohoms, repeat=2):
-        src, src_ok = product_of(f1.source, f2.source)
-        dst, dst_ok = product_of(f1.target, f2.target)
-        yield f1, f2, src_ok and dst_ok, src, dst
-
-
 def _pair_ctx(f1, f2):
     return (f"f1={f1.source.name}->{f1.target.name}:{_map_ctx(f1)}",
             f"f2={f2.source.name}->{f2.target.name}:{_map_ctx(f2)}")
 
 
-def _run_pairmap_ohom(pool, cap):
-    checked, skipped, ces = 0, 0, []
-    for f1, f2, ok, src, dst in _product_pairs(pool):
-        if not ok:
-            skipped += 1
-            continue
-        checked += 1
-        cls = classify(pair_map(f1, f2, source=src, target=dst), witness_cap=cap)
-        if not cls.is_ohom:
-            witness = (cls.hom_witnesses or cls.omap_witnesses)[0]
-            ces.append(Counterexample(_pair_ctx(f1, f2), witness))
-    return checked, skipped, ces
+class _OhomPair(NamedTuple):
+    """One pair of O-homomorphisms with everything the product claims share."""
+
+    f1: Mapping
+    f2: Mapping
+    k1: Subset  # ker(f1)
+    k2: Subset  # ker(f2)
+    source: ProductAlgebra
+    pm: Mapping  # the pair map f1 x f2
+    k: Subset  # ker(f1 x f2)
 
 
-def _run_product_kernel(pool, cap):
-    checked, skipped, ces = 0, 0, []
-    for f1, f2, ok, src, dst in _product_pairs(pool):
-        if not ok:
-            skipped += 1
+def _check_pairmap_ohom(p: _OhomPair, cap):
+    cls = classify(p.pm, witness_cap=cap)
+    return [] if cls.is_ohom else [(cls.hom_witnesses or cls.omap_witnesses)[0]]
+
+
+def _check_product_kernel(p: _OhomPair, cap):
+    n2 = p.f2.source.n
+    right = p.k2.members()
+    rhs = 0
+    for x1 in p.k1:
+        for x2 in right:
+            rhs |= 1 << (x1 * n2 + x2)
+    if p.k.mask == rhs:
+        return []
+    return [tuple(sorted(set(p.k.members()) ^
+                         {i for i in range(p.k.universe.n) if rhs >> i & 1}))]
+
+
+def _check_product_kernel_projection(p: _OhomPair, cap):
+    try:
+        left, right = projection_kernels(p.source, p.k)
+    except ShapeError:
+        return [("non-rectangular",)]
+    if len(p.k) and (left.mask != p.k1.mask or right.mask != p.k2.mask):
+        return [(tuple(left.member_labels()), tuple(right.member_labels()))]
+    return []
+
+
+def _check_ksets(p: _OhomPair, cap):
+    first, second, equal = k_upper_sets(p.k1, p.k2, p.f1, p.f2, source=p.source)
+    unit_pair = p.f1.source.unit * p.f2.source.n + p.f2.source.unit
+    problems = []
+    if not equal:
+        problems.append(("sides-differ",))
+    if first.mask != p.k.mask:
+        problems.append(("differs-from-pair-kernel",))
+    if unit_pair not in first:
+        problems.append(("unit-missing",))
+    return problems
+
+
+# Product claims quantify over ordered pairs of O-homomorphisms whose
+# source and target products are both algebras; each maps one pair to its
+# witnesses (none when the pair satisfies the claim).
+_PRODUCT_CHECKS = {
+    "T-pairmap-ohom": _check_pairmap_ohom,
+    "T-product-kernel": _check_product_kernel,
+    "T-product-kernel-projection": _check_product_kernel_projection,
+    "T-ksets": _check_ksets,
+}
+
+
+def _run_products(pool, cap, claims):
+    """The given product claims in one pass over the O-homomorphism pairs.
+
+    Each pair's map and kernel are built once and shared by every claim;
+    products are cached by the pool indices of their factors and checked
+    against all six axioms once each.  Pairs are streamed, never stored.
+    Returns claim id -> (checked, skipped, counterexamples), the
+    counterexamples in pair order.
+    """
+    tallies = {c: [0, 0, []] for c in claims}
+    checks = [(_PRODUCT_CHECKS[c], tallies[c]) for c in claims]
+    ohoms = [(i, j, f, kernel(f)) for i, j, f in pool.ohoms()]
+    products: dict[tuple[int, int], tuple[ProductAlgebra, bool]] = {}
+
+    def product_of(i1, i2, left, right):
+        key = (i1, i2)
+        if key not in products:
+            combined = product_structure(left, right)
+            valid = all(check_axiom(combined, a, witness_cap=1).holds
+                        for a in AXIOM_IDS)
+            products[key] = (ProductAlgebra(left, right, combined), valid)
+        return products[key]
+
+    for (s1, t1, f1, k1), (s2, t2, f2, k2) in itertools.product(ohoms, repeat=2):
+        src, src_ok = product_of(s1, s2, f1.source, f2.source)
+        dst, dst_ok = product_of(t1, t2, f1.target, f2.target)
+        if not (src_ok and dst_ok):
+            for _, tally in checks:
+                tally[1] += 1
             continue
-        checked += 1
         pm = pair_map(f1, f2, source=src, target=dst)
-        lhs = kernel(pm)
-        n2 = f2.source.n
-        rhs = 0
-        for x1 in kernel(f1):
-            for x2 in kernel(f2):
-                rhs |= 1 << (x1 * n2 + x2)
-        if lhs.mask != rhs:
-            diff = tuple(sorted(set(lhs.members()) ^
-                                {i for i in range(lhs.universe.n) if rhs >> i & 1}))
-            ces.append(Counterexample(_pair_ctx(f1, f2), diff))
-    return checked, skipped, ces
-
-
-def _run_product_kernel_projection(pool, cap):
-    checked, skipped, ces = 0, 0, []
-    for f1, f2, ok, src, dst in _product_pairs(pool):
-        if not ok:
-            skipped += 1
-            continue
-        checked += 1
-        pm = pair_map(f1, f2, source=src, target=dst)
-        k = kernel(pm)
-        try:
-            left, right = projection_kernels(src, k)
-        except ShapeError:
-            ces.append(Counterexample(_pair_ctx(f1, f2), ("non-rectangular",)))
-            continue
-        if len(k) and (left.mask != kernel(f1).mask or right.mask != kernel(f2).mask):
-            ces.append(Counterexample(
-                _pair_ctx(f1, f2),
-                (tuple(left.member_labels()), tuple(right.member_labels()))))
-    return checked, skipped, ces
-
-
-def _run_ksets(pool, cap):
-    checked, skipped, ces = 0, 0, []
-    for f1, f2, ok, src, dst in _product_pairs(pool):
-        if not ok:
-            skipped += 1
-            continue
-        checked += 1
-        first, second, equal = k_upper_sets(kernel(f1), kernel(f2), f1, f2)
-        pm = pair_map(f1, f2, source=src, target=dst)
-        unit_pair = f1.source.unit * f2.source.n + f2.source.unit
-        problems = []
-        if not equal:
-            problems.append(("sides-differ",))
-        if first.mask != kernel(pm).mask:
-            problems.append(("differs-from-pair-kernel",))
-        if unit_pair not in first:
-            problems.append(("unit-missing",))
-        for w in problems:
-            ces.append(Counterexample(_pair_ctx(f1, f2), w))
-    return checked, skipped, ces
+        pair = _OhomPair(f1, f2, k1, k2, src, pm, kernel(pm))
+        for check, tally in checks:
+            tally[0] += 1
+            for witness in check(pair, cap):
+                tally[2].append(Counterexample(_pair_ctx(f1, f2), witness))
+    return {c: tuple(t) for c, t in tallies.items()}
 
 
 def _runner(claim):
@@ -659,14 +689,8 @@ def _runner(claim):
         return lambda pool, cap: _run_bijection(pool, cap, ordered=False)
     if claim == "T-ordfilter-bijection":
         return lambda pool, cap: _run_bijection(pool, cap, ordered=True)
-    if claim == "T-pairmap-ohom":
-        return _run_pairmap_ohom
-    if claim == "T-product-kernel":
-        return _run_product_kernel
-    if claim == "T-product-kernel-projection":
-        return _run_product_kernel_projection
-    if claim == "T-ksets":
-        return _run_ksets
+    if claim in _PRODUCT_CHECKS:
+        return lambda pool, cap: pool.product_sweep(claim, cap)
     raise ValueError(f"unknown claim id {claim!r}")
 
 
@@ -705,6 +729,7 @@ def verify_all(claims=CLAIM_IDS, *, sizes=None, fixtures=None,
         with multiprocessing.Pool(jobs) as p:
             return p.map(_verify_one, args)
     pool = _pool_for(sizes, fixtures, up_to_iso=up_to_iso)
+    pool.product_claims = tuple(c for c in claims if c in _PRODUCT_CHECKS)
     return [verify_claim(c, witness_cap=witness_cap, _pool=pool) for c in claims]
 
 

@@ -127,7 +127,8 @@ def direct_product_kernel(f1: Mapping, f2: Mapping) -> Subset:
     n2 = f2.source.n
     members = [x1 * n2 + x2 for x1 in k1 for x2 in k2]
     combined = Subset.from_indices(pm.source, members)
-    assert combined == kernel(pm), "componentwise kernel disagrees with the pair-map kernel"
+    if combined != kernel(pm):
+        raise RuntimeError("componentwise kernel disagrees with the pair-map kernel")
     return combined
 
 
@@ -149,20 +150,27 @@ def projection_kernels(product: ProductAlgebra, k: Subset) -> tuple[Subset, Subs
             Subset.from_indices(product.right, right))
 
 
-def k_upper_sets(k1: Subset, k2: Subset, f1: Mapping, f2: Mapping,
+def k_upper_sets(k1: Subset, k2: Subset, f1: Mapping, f2: Mapping, *,
+                 source: ProductAlgebra | None = None,
                  ) -> tuple[Subset, Subset, bool]:
     """The two one-sided product sets built from K1, K2 and the two maps.
 
     First set: K1 on the left, "unit_Y2 <= f2(x2)" on the right; second
     set: "unit_Y1 <= f1(x1)" on the left, K2 on the right.  When K1 and K2
     are the component kernels both reduce to ker(f1) x ker(f2), so the
-    returned flag must be True.
+    returned flag must be True.  Both sets live over `source`, the product
+    of the two maps' sources, which is built when not given.
     """
     if k1.universe != f1.source:
         raise UniverseMismatchError("k_upper_sets: K1 is not over the first map's source")
     if k2.universe != f2.source:
         raise UniverseMismatchError("k_upper_sets: K2 is not over the second map's source")
-    combined = product_structure(f1.source, f2.source)
+    if source is None:
+        source = ProductAlgebra(f1.source, f2.source,
+                                product_structure(f1.source, f2.source))
+    if (source.left, source.right) != (f1.source, f2.source):
+        raise UniverseMismatchError("k_upper_sets: source product does not match the maps")
+    combined = source.combined
     n2 = f2.source.n
     cone_y1 = f1.target.order[f1.target.unit]
     cone_y2 = f2.target.order[f2.target.unit]

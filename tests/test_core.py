@@ -42,6 +42,16 @@ def test_ea_validates():
     assert v.cone.member_labels() == ("e",)
 
 
+def test_validate_partial_order_cross_check_raises(monkeypatch):
+    # the cross-check must survive `python -O`, so it cannot be an assert
+    import obci.core
+
+    broken = [CheckReport("order-reflexive", holds=False, witnesses=((0,),))]
+    monkeypatch.setattr(obci.core, "relation_reports", lambda s: broken)
+    with pytest.raises(RuntimeError, match="not a partial order"):
+        validate(ea)
+
+
 def test_point_validates(point):
     v = validate(point)
     assert isinstance(v, ValidatedAlgebra)

@@ -164,3 +164,19 @@ def test_parallel_verify_matches_serial():
     parallel = verify_all(("P-identities", "T-kernel-filter"), sizes=(1, 2),
                           jobs=2)
     assert serial == parallel
+
+
+# product and non-product claims, out of catalogue order
+_MIXED_CLAIMS = ("T-ksets", "T-ordfilter-bijection", "T-pairmap-ohom",
+                 "P-identities", "T-product-kernel-projection",
+                 "T-kernel-filter", "T-product-kernel")
+
+
+@pytest.mark.parametrize("scope", [{"sizes": (1, 2)}, {"fixtures": True}])
+def test_fused_product_pass_matches_per_claim_runs(scope):
+    fused = verify_all(_MIXED_CLAIMS, **scope)
+    assert [r.claim for r in fused] == list(_MIXED_CLAIMS)
+    assert any(r.counterexamples for r in fused)
+    assert fused == [verify_claim(c, **scope) for c in _MIXED_CLAIMS]
+    assert fused == verify_all(_MIXED_CLAIMS, jobs=2, **scope)
+    assert verify_all(("T-ksets",), **scope) == fused[:1]

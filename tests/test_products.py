@@ -119,6 +119,17 @@ def test_direct_product_kernel_raw_components():
     assert set(k.members()) == {0, 1, 3, 4}  # {1, 1/2} x {e, x}
 
 
+def test_direct_product_kernel_cross_check_raises(monkeypatch):
+    # the cross-check must survive `python -O`, so it cannot be an assert
+    import obci.products
+
+    components = (d2c, exy_to_ea)
+    monkeypatch.setattr(obci.products, "kernel",
+                        lambda m: kernel(m) if m in components else Subset.empty(m.source))
+    with pytest.raises(RuntimeError, match="disagrees with the pair-map kernel"):
+        direct_product_kernel(d2c, exy_to_ea)
+
+
 def test_projection_kernels_roundtrip():
     product, _ = direct_product(exy, ea)
     rect = Subset.from_indices(product.combined, (0, 1, 2, 3))  # {e,x} x {e,a}
@@ -170,6 +181,23 @@ def test_k_upper_sets_of_empty_sets():
 def test_k_upper_sets_universe_checks():
     with pytest.raises(UniverseMismatchError):
         k_upper_sets(Subset.full(ea), kernel(exy_to_ea), d2c, exy_to_ea)
+
+
+@pytest.mark.parametrize("f1, f2", [(d2c, exy_to_ea), (exy_id, exy_to_ea),
+                                    (mid3_swap, exy_id)])
+def test_k_upper_sets_with_prebuilt_source(f1, f2):
+    k1, k2 = kernel(f1), kernel(f2)
+    source = ProductAlgebra(f1.source, f2.source,
+                            product_structure(f1.source, f2.source))
+    assert (k_upper_sets(k1, k2, f1, f2, source=source)
+            == k_upper_sets(k1, k2, f1, f2))
+
+
+def test_k_upper_sets_source_must_match_the_maps():
+    swapped = ProductAlgebra(ea, exy, product_structure(ea, exy))
+    with pytest.raises(UniverseMismatchError):
+        k_upper_sets(kernel(exy_id), kernel(exy_to_ea), exy_id, exy_to_ea,
+                     source=swapped)
 
 
 def test_products_of_enumerated_algebras_validate():
