@@ -297,6 +297,8 @@ def _cmd_verify(args, out: _Out) -> int:
         claims = (args.claim,)
     else:
         raise ParseError(f"unknown claim id {args.claim!r}; see 'verify all'", "verify")
+    if args.jobs < 1:
+        raise ParseError(f"--jobs must be at least 1, got {args.jobs}", "verify")
     scope = {"fixtures": True} if args.fixtures else {"sizes": tuple(range(1, args.size + 1))}
     reports = harness.verify_all(claims, witness_cap=args.witness_cap,
                                  jobs=args.jobs, **scope)

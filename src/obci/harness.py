@@ -14,10 +14,12 @@ separating-example queries such as "hom-not-omap".
 
 The four product claims (`T-pairmap-ohom`, `T-product-kernel`,
 `T-product-kernel-projection`, `T-ksets`) quantify over ordered pairs of
-O-homomorphisms.  A serial `verify_all` checks every product claim it is
-given in one shared pass over those pairs, building each pair map, its
-kernel and each product once; `verify_claim`, and so each `--jobs`
-worker, runs a single product claim through the same pass.
+O-homomorphisms.  `verify_all` checks every product claim it is given in
+one shared pass over those pairs, building each pair map, its kernel and
+each product once.  With `jobs=J` the work is cut into J fixed parts, each
+run by a worker process that builds the pool once: part k takes the pairs
+whose first factor lies in slice k of the O-homs, plus every J-th other
+claim from position k, and the parent adds the partial reports up.
 """
 
 from __future__ import annotations
@@ -205,8 +207,10 @@ class _Pool:
         self.fixture_maps = fixture_maps
         self._by_structure = {a.structure: a for a in algebras}
         self._map_cache: dict[tuple[int, int], list] = {}
-        # Product claims a sweep asks for, run together on the first request.
+        # Product claims a sweep asks for, run together on the first request,
+        # and the part (k, parts) of the first factor's O-homs they cover.
         self.product_claims: tuple[str, ...] = ()
+        self.product_part = (0, 1)
         self._product_results: dict[str, tuple] = {}
 
     def lookup(self, s: RawStructure) -> ValidatedAlgebra | None:
@@ -248,11 +252,13 @@ class _Pool:
         """One product claim's (checked, skipped, counterexamples).
 
         The first request runs it together with `product_claims` in one
-        pass over the O-homomorphism pairs; later requests read the result.
+        pass over the O-homomorphism pairs of `product_part`; later
+        requests read the result.
         """
         if claim not in self._product_results:
             claims = tuple(dict.fromkeys((claim, *self.product_claims)))
-            self._product_results.update(_run_products(self, cap, claims))
+            self._product_results.update(
+                _run_products(self, cap, claims, self.product_part))
         return self._product_results[claim]
 
 
@@ -576,18 +582,23 @@ _PRODUCT_CHECKS = {
 }
 
 
-def _run_products(pool, cap, claims):
+def _run_products(pool, cap, claims, part):
     """The given product claims in one pass over the O-homomorphism pairs.
 
     Each pair's map and kernel are built once and shared by every claim;
     products are cached by the pool indices of their factors and checked
     against all six axioms once each.  Pairs are streamed, never stored.
+    With part=(k, parts) only the pairs whose first factor lies in the
+    k-th of `parts` contiguous slices of the O-homs are checked, so the
+    parts' counterexamples, concatenated in k order, are in pair order.
     Returns claim id -> (checked, skipped, counterexamples), the
     counterexamples in pair order.
     """
     tallies = {c: [0, 0, []] for c in claims}
     checks = [(_PRODUCT_CHECKS[c], tallies[c]) for c in claims]
     ohoms = [(i, j, f, kernel(f)) for i, j, f in pool.ohoms()]
+    k, parts = part
+    first = ohoms[k * len(ohoms) // parts:(k + 1) * len(ohoms) // parts]
     products: dict[tuple[int, int], tuple[ProductAlgebra, bool]] = {}
 
     def product_of(i1, i2, left, right):
@@ -599,7 +610,7 @@ def _run_products(pool, cap, claims):
             products[key] = (ProductAlgebra(left, right, combined), valid)
         return products[key]
 
-    for (s1, t1, f1, k1), (s2, t2, f2, k2) in itertools.product(ohoms, repeat=2):
+    for (s1, t1, f1, k1), (s2, t2, f2, k2) in itertools.product(first, ohoms):
         src, src_ok = product_of(s1, s2, f1.source, f2.source)
         dst, dst_ok = product_of(t1, t2, f1.target, f2.target)
         if not (src_ok and dst_ok):
@@ -716,27 +727,111 @@ def verify_all(claims=CLAIM_IDS, *, sizes=None, fixtures=None,
                up_to_iso: bool = False,
                witness_cap: int | None = DEFAULT_WITNESS_CAP,
                jobs: int = 1) -> list[SweepReport]:
-    """Run several claims over one shared scope, optionally in parallel.
+    """Run several claims over one shared scope, split into `jobs` parts.
 
-    Reports come back in claim order regardless of worker scheduling.
+    Each part (see `_run_part`) builds its own pool; with jobs > 1 every
+    part runs in a worker process of its own.  Reports come back in claim
+    order and equal a serial run's: a product claim's partial reports are
+    added up, their counterexamples concatenated in part order.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    claims = tuple(claims)
     for c in claims:
         _runner(c)  # fail fast on unknown ids
-    if jobs > 1:
-        import multiprocessing
+    args = (claims, (sizes, fixtures, up_to_iso), witness_cap)
+    parts = [_run_part(*args, 0, 1)] if jobs == 1 else _run_in_workers(args, jobs)
+    partial = [[] for _ in claims]
+    for results in parts:
+        for i, report in results:
+            partial[i].append(report)
+    return [SweepReport(c, sum(r.instances_checked for r in reports),
+                        sum(r.hypothesis_skipped for r in reports),
+                        tuple(ce for r in reports for ce in r.counterexamples))
+            for c, reports in zip(claims, partial)]
 
-        args = [(c, sizes, fixtures, up_to_iso, witness_cap) for c in claims]
-        with multiprocessing.Pool(jobs) as p:
-            return p.map(_verify_one, args)
+
+def _run_part(claims, scope, witness_cap, k, parts):
+    """Part k of `parts`, as (claim position, report) pairs in claim order.
+
+    The part runs every product claim over the pairs whose first factor
+    lies in slice k of the O-homs (one fused pass), and every parts-th
+    other claim from position k.  It builds the pool only if it has a claim.
+    """
+    products = tuple(c for c in claims if c in _PRODUCT_CHECKS)
+    others = [i for i, c in enumerate(claims) if c not in _PRODUCT_CHECKS]
+    mine = set(others[k::parts])
+    positions = [i for i, c in enumerate(claims) if c in products or i in mine]
+    if not positions:
+        return []
+    sizes, fixtures, up_to_iso = scope
     pool = _pool_for(sizes, fixtures, up_to_iso=up_to_iso)
-    pool.product_claims = tuple(c for c in claims if c in _PRODUCT_CHECKS)
-    return [verify_claim(c, witness_cap=witness_cap, _pool=pool) for c in claims]
+    pool.product_claims = products
+    pool.product_part = (k, parts)
+    # Through verify_claim, one call per claim, so that claim-level hooks
+    # (timing, tracing) see each claim in every part.
+    return [(i, verify_claim(claims[i], witness_cap=witness_cap, _pool=pool))
+            for i in positions]
 
 
-def _verify_one(args):
-    claim, sizes, fixtures, up_to_iso, witness_cap = args
-    return verify_claim(claim, sizes=sizes, fixtures=fixtures,
-                        up_to_iso=up_to_iso, witness_cap=witness_cap)
+def _run_in_workers(args, jobs):
+    """`_run_part(*args, k, jobs)` for every k, each in a process of its own.
+
+    Part k always runs in the k-th process, whatever the timing.  An
+    exception in a worker is raised here, and a worker that dies without
+    an answer raises RuntimeError; either way every worker is stopped and
+    joined first.
+    """
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    procs, readers = [], []
+    try:
+        for k in range(jobs):
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(target=_worker, args=(writer, *args, k, jobs))
+            proc.start()
+            writer.close()  # the worker holds the only write end: EOF if it dies
+            procs.append(proc)
+            readers.append(reader)
+        results = [None] * jobs
+        pending = {reader: k for k, reader in enumerate(readers)}
+        while pending:
+            for reader in wait(list(pending)):
+                k = pending.pop(reader)
+                try:
+                    ok, value = reader.recv()
+                except EOFError:
+                    procs[k].join()
+                    raise RuntimeError(f"worker {k} exited with code "
+                                       f"{procs[k].exitcode} without an answer") from None
+                if not ok:
+                    exc, remote_traceback = value
+                    raise exc from RuntimeError(f"in worker {k}:\n{remote_traceback}")
+                results[k] = value
+        return results
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for reader in readers:
+            reader.close()
+        for proc in procs:
+            proc.join()
+
+
+def _worker(conn, *args):
+    """Body of a worker process: send (True, part results) or
+    (False, (exception, traceback text)) to the parent."""
+    try:
+        answer = (True, _run_part(*args))
+    except Exception as exc:
+        import traceback
+
+        answer = (False, (exc, traceback.format_exc()))
+    conn.send(answer)
+    conn.close()
 
 
 SEARCH_QUERIES = ("hom-not-omap", "omap-not-hom")

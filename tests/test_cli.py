@@ -181,6 +181,15 @@ def test_verify_with_jobs(capsys):
     assert "CLAIM P-identities VERIFIED" in out
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_jobs_below_one_is_a_usage_error(capsys, jobs):
+    rc, out, err = run(capsys, "verify", "P-identities", "--size", "1",
+                       "--jobs", jobs)
+    assert rc == 2
+    assert out == ""
+    assert "--jobs must be at least 1" in err
+
+
 def test_enumerate_command(capsys):
     rc, out, _ = run(capsys, "--format", "machine", "enumerate", "2",
                      "--count-only")

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import pytest
 
 from obci import (
@@ -11,7 +14,7 @@ from obci import (
     verify_all,
     verify_claim,
 )
-from obci import scan
+from obci import harness, scan
 from obci.core import BudgetError, check_derived_identities
 from obci.harness import CLAIM_IDS
 from obci.morphisms import identity_map
@@ -172,11 +175,66 @@ _MIXED_CLAIMS = ("T-ksets", "T-ordfilter-bijection", "T-pairmap-ohom",
                  "T-kernel-filter", "T-product-kernel")
 
 
-@pytest.mark.parametrize("scope", [{"sizes": (1, 2)}, {"fixtures": True}])
+@pytest.mark.parametrize("scope", [
+    {"sizes": (1, 2)},
+    {"fixtures": True},
+    {"sizes": (1,)},  # one O-hom: with jobs=3 two parts get no pairs
+    {"sizes": (1, 2, 3), "up_to_iso": True},
+])
 def test_fused_product_pass_matches_per_claim_runs(scope):
+    serial = verify_all(CLAIM_IDS, **scope)
+    assert any(r.counterexamples for r in serial) or scope == {"sizes": (1,)}
+    for jobs in (2, 3):
+        assert verify_all(CLAIM_IDS, jobs=jobs, **scope) == serial
+    if scope.get("up_to_iso"):
+        return  # each per-claim run below repeats the 19,044-pair pass
     fused = verify_all(_MIXED_CLAIMS, **scope)
-    assert [r.claim for r in fused] == list(_MIXED_CLAIMS)
-    assert any(r.counterexamples for r in fused)
+    assert fused == [next(r for r in serial if r.claim == c) for c in _MIXED_CLAIMS]
     assert fused == [verify_claim(c, **scope) for c in _MIXED_CLAIMS]
-    assert fused == verify_all(_MIXED_CLAIMS, jobs=2, **scope)
     assert verify_all(("T-ksets",), **scope) == fused[:1]
+    for jobs in (2, 3):
+        assert verify_all(_MIXED_CLAIMS, jobs=jobs, **scope) == fused
+
+
+# Workers see a monkeypatched check only if they are forked from the test.
+_FORK_ONLY = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                reason="needs the fork start method")
+
+
+@_FORK_ONLY
+def test_parallel_counterexamples_keep_pair_order(monkeypatch):
+    monkeypatch.setitem(harness._PRODUCT_CHECKS, "T-product-kernel",
+                        lambda pair, cap: [("fails",)])
+    serial = verify_all(_MIXED_CLAIMS, sizes=(1, 2))
+    failed = serial[_MIXED_CLAIMS.index("T-product-kernel")]
+    assert len(failed.counterexamples) == failed.instances_checked > 1
+    for jobs in (2, 3):
+        assert verify_all(_MIXED_CLAIMS, sizes=(1, 2), jobs=jobs) == serial
+
+
+def _exit_worker(pair, cap):
+    os._exit(3)
+
+
+def _raise(pair, cap):
+    raise ZeroDivisionError("check failed")
+
+
+@_FORK_ONLY
+@pytest.mark.parametrize("check, error", [(_raise, ZeroDivisionError),
+                                          (_exit_worker, RuntimeError)])
+def test_worker_failure_raises_in_parent(monkeypatch, check, error):
+    monkeypatch.setitem(harness._PRODUCT_CHECKS, "T-ksets", check)
+    with pytest.raises(error):
+        verify_all(_MIXED_CLAIMS, sizes=(1, 2), jobs=2)
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_is_rejected(monkeypatch, jobs):
+    def no_process(*args, **kwargs):
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(multiprocessing, "Process", no_process)
+    monkeypatch.setattr(harness, "_pool_for", no_process)
+    with pytest.raises(ValueError, match="jobs"):
+        verify_all(("P-identities",), sizes=(1,), jobs=jobs)
