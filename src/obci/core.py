@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 DEFAULT_WITNESS_CAP = 32
@@ -126,6 +127,25 @@ class RawStructure:
     def n(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def row_getters(self) -> tuple[itemgetter, ...]:
+        """Per row x, a getter picking the entries op[x][0..n-1] of a sequence.
+
+        For n = 1 a getter returns the single entry rather than a 1-tuple.
+        """
+        return tuple(itemgetter(*row) for row in self.op)
+
+    @cached_property
+    def cone_values_mask(self) -> int:
+        """Bitmask of the values of `op` that lie in the stored cone."""
+        cone = self.order[self.unit]
+        mask = 0
+        for row in self.op:
+            for v in row:
+                if cone[v]:
+                    mask |= 1 << v
+        return mask
+
     def index(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -176,7 +196,13 @@ class Subset:
         return cls(universe, 0)
 
     def members(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.universe.n) if self.mask >> i & 1)
+        out = []
+        m = self.mask
+        while m:
+            low = m & -m
+            out.append(low.bit_length() - 1)
+            m ^= low
+        return tuple(out)
 
     def member_labels(self) -> tuple[str, ...]:
         return tuple(self.universe.labels[i] for i in self.members())
@@ -188,7 +214,7 @@ class Subset:
         return iter(self.members())
 
     def __len__(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def _check_universe(self, other: "Subset") -> None:
         if self.universe != other.universe:

@@ -58,6 +58,7 @@ from .products import (
     pair_map,
     product_structure,
     projection_kernels,
+    rectangle_mask,
 )
 from .substructures import (
     is_filter,
@@ -536,16 +537,10 @@ def _check_pairmap_ohom(p: _OhomPair, cap):
 
 
 def _check_product_kernel(p: _OhomPair, cap):
-    n2 = p.f2.source.n
-    right = p.k2.members()
-    rhs = 0
-    for x1 in p.k1:
-        for x2 in right:
-            rhs |= 1 << (x1 * n2 + x2)
+    rhs = rectangle_mask(p.k1.mask, p.k2.mask, p.f2.source.n)
     if p.k.mask == rhs:
         return []
-    return [tuple(sorted(set(p.k.members()) ^
-                         {i for i in range(p.k.universe.n) if rhs >> i & 1}))]
+    return [Subset(p.k.universe, p.k.mask ^ rhs).members()]
 
 
 def _check_product_kernel_projection(p: _OhomPair, cap):

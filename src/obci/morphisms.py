@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterator
 
 from .core import (
@@ -81,15 +82,27 @@ def constant_to_unit(src: RawStructure, dst: RawStructure, name: str = "") -> Ma
 
 
 def classify(m: Mapping, *, witness_cap: int | None = DEFAULT_WITNESS_CAP) -> MorphismClass:
-    """Evaluate both morphism laws over all pairs of source elements."""
-    op_s, op_t = m.source.op, m.target.op
-    cone_s = m.source.order[m.source.unit]
-    cone_t = m.target.order[m.target.unit]
+    """Evaluate both morphism laws over all pairs of source elements.
+
+    Both laws are first decided row by row; only when one fails are the
+    cells scanned one by one for the witnesses, in lexicographic order.
+    """
+    src, dst = m.source, m.target
+    op_s, op_t = src.op, dst.op
     t = m.table
+    # Hom law, row x: (t[op_s[x][y]])_y == (op_t[t[x]][t[y]])_y.
+    pick = itemgetter(*t)
+    if all(g(t) == pick(op_t[v]) for g, v in zip(src.row_getters, t)):
+        # With the hom law, op_t[t[x]][t[y]] = t[op_s[x][y]], so the O-map
+        # law asks every cone value of op_s to lie in the kernel.
+        if not src.cone_values_mask & ~kernel_mask(m):
+            return MorphismClass(is_hom=True, is_omap=True)
+    cone_s = src.order[src.unit]
+    cone_t = dst.order[dst.unit]
     hom_w: list[tuple[int, int]] = []
     omap_w: list[tuple[int, int]] = []
-    for x in range(m.source.n):
-        for y in range(m.source.n):
+    for x in range(src.n):
+        for y in range(src.n):
             v = op_s[x][y]
             w = op_t[t[x]][t[y]]
             if t[v] != w and (witness_cap is None or len(hom_w) < witness_cap):
@@ -137,10 +150,21 @@ def monotonicity_report(m: Mapping, *,
     return CheckReport.collect("monotone", violations(), witness_cap)
 
 
+def kernel_mask(m: Mapping) -> int:
+    """ker(m) as a bitmask over the source, read off the map's table."""
+    cone_t = m.target.order[m.target.unit]
+    mask = 0
+    bit = 1
+    for v in m.table:
+        if cone_t[v]:
+            mask |= bit
+        bit <<= 1
+    return mask
+
+
 def kernel(m: Mapping) -> Subset:
     """Elements whose image sits above the target's unit (any mapping)."""
-    cone_t = m.target.order[m.target.unit]
-    return Subset.from_indices(m.source, (x for x in range(m.source.n) if cone_t[m.table[x]]))
+    return Subset(m.source, kernel_mask(m))
 
 
 def kernel_alt(m: Mapping) -> Subset:

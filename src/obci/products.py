@@ -6,6 +6,11 @@ is the pair of units, and the product order is the conjunction of the
 component orders.  Construction never requires validity; `direct_product`
 reports whether the result satisfies the axioms, as the definition of a
 direct product algebra demands.
+
+A set over the combined carrier is one bitmask whose row x1 is the slice
+of n2 bits starting at bit x1*n2: a rectangle left x right is the right
+mask shifted to each row of the left mask (`rectangle_mask`), and the
+projections read the rows back.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .core import (
     UniverseMismatchError,
     check_axiom,
 )
-from .morphisms import Mapping, kernel
+from .morphisms import Mapping, kernel, kernel_mask
 
 DEFAULT_PRODUCT_BUDGET = 64
 
@@ -105,14 +110,20 @@ def pair_map(f1: Mapping, f2: Mapping, *,
         raise UniverseMismatchError("pair_map: source product does not match the maps")
     if (target.left, target.right) != (f1.target, f2.target):
         raise UniverseMismatchError("pair_map: target product does not match the maps")
-    n2 = f2.source.n
     m2 = f2.target.n
-    table = tuple(
-        f1.table[i // n2] * m2 + f2.table[i % n2]
-        for i in range(source.combined.n)
-    )
+    table = tuple(v1 * m2 + v2 for v1 in f1.table for v2 in f2.table)
     name = f"{f1.name or 'f1'}x{f2.name or 'f2'}"
     return Mapping(source.combined, target.combined, table, name)
+
+
+def rectangle_mask(left: int, right: int, n2: int) -> int:
+    """Mask of left x right over a product whose right factor has size n2."""
+    out = 0
+    while left:
+        low = left & -left
+        out |= right << (low.bit_length() - 1) * n2
+        left ^= low
+    return out
 
 
 def direct_product_kernel(f1: Mapping, f2: Mapping) -> Subset:
@@ -124,9 +135,7 @@ def direct_product_kernel(f1: Mapping, f2: Mapping) -> Subset:
     pm = pair_map(f1, f2)
     k1 = kernel(f1)
     k2 = kernel(f2)
-    n2 = f2.source.n
-    members = [x1 * n2 + x2 for x1 in k1 for x2 in k2]
-    combined = Subset.from_indices(pm.source, members)
+    combined = Subset(pm.source, rectangle_mask(k1.mask, k2.mask, f2.source.n))
     if combined != kernel(pm):
         raise RuntimeError("componentwise kernel disagrees with the pair-map kernel")
     return combined
@@ -141,13 +150,17 @@ def projection_kernels(product: ProductAlgebra, k: Subset) -> tuple[Subset, Subs
     if k.universe != product.combined:
         raise UniverseMismatchError("projection_kernels: subset is not over this product")
     n2 = product.right.n
-    left = sorted({i // n2 for i in k})
-    right = sorted({i % n2 for i in k})
-    rebuilt = {x1 * n2 + x2 for x1 in left for x2 in right}
-    if rebuilt != set(k.members()):
+    row = (1 << n2) - 1
+    mask = k.mask
+    left = right = 0
+    for x1 in range(product.left.n):
+        r = mask >> x1 * n2 & row
+        if r:
+            left |= 1 << x1
+            right |= r
+    if rectangle_mask(left, right, n2) != mask:
         raise ShapeError("subset of the product is not a rectangle")
-    return (Subset.from_indices(product.left, left),
-            Subset.from_indices(product.right, right))
+    return Subset(product.left, left), Subset(product.right, right)
 
 
 def k_upper_sets(k1: Subset, k2: Subset, f1: Mapping, f2: Mapping, *,
@@ -170,19 +183,7 @@ def k_upper_sets(k1: Subset, k2: Subset, f1: Mapping, f2: Mapping, *,
                                 product_structure(f1.source, f2.source))
     if (source.left, source.right) != (f1.source, f2.source):
         raise UniverseMismatchError("k_upper_sets: source product does not match the maps")
-    combined = source.combined
     n2 = f2.source.n
-    cone_y1 = f1.target.order[f1.target.unit]
-    cone_y2 = f2.target.order[f2.target.unit]
-    first = Subset.from_indices(
-        combined,
-        (x1 * n2 + x2
-         for x1 in k1 for x2 in range(n2) if cone_y2[f2.table[x2]]),
-    )
-    second = Subset.from_indices(
-        combined,
-        (x1 * n2 + x2
-         for x1 in range(f1.source.n) if cone_y1[f1.table[x1]]
-         for x2 in k2),
-    )
+    first = Subset(source.combined, rectangle_mask(k1.mask, kernel_mask(f2), n2))
+    second = Subset(source.combined, rectangle_mask(kernel_mask(f1), k2.mask, n2))
     return first, second, first == second

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from obci import parse_algebra
@@ -179,6 +181,18 @@ def test_verify_with_jobs(capsys):
                      "--size", "2", "--jobs", "2")
     assert rc == 0
     assert "CLAIM P-identities VERIFIED" in out
+
+
+@pytest.mark.parametrize("scope, reference", [
+    (("--size", "3"), "verify_all_size3.machine.txt"),
+    (("--fixtures",), "verify_all_fixtures.machine.txt"),
+])
+def test_verify_all_output_is_pinned(capsys, scope, reference):
+    # recorded at commit 430c534; exit 1 because the two bijection claims
+    # are refuted
+    rc, out, _ = run(capsys, "--format", "machine", "verify", "all", *scope)
+    assert rc == 1
+    assert out.encode() == (Path(__file__).parent / "data" / reference).read_bytes()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

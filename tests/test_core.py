@@ -213,6 +213,18 @@ def test_subset_operations_and_universe_guard():
         s.union(other)
 
 
+def test_subset_members_and_len_match_the_bits():
+    nine = RawStructure("nine", tuple(f"t{i}" for i in range(9)),
+                        ((0,) * 9,) * 9, 0, ((True,) * 9,) * 9)
+    for mask in range(1 << 9):
+        s = Subset(nine, mask)
+        expected = tuple(i for i in range(9) if mask & (1 << i))
+        assert s.members() == expected
+        assert tuple(s) == expected
+        assert len(s) == len(expected)
+        assert Subset.from_indices(nine, expected) == s
+
+
 # --- property tests ---------------------------------------------------------
 
 @st.composite

@@ -5,7 +5,9 @@ from obci import (
     BudgetError,
     MapClass,
     Mapping,
+    MorphismClass,
     PreconditionError,
+    RawStructure,
     StructureError,
     Subset,
     UniverseMismatchError,
@@ -22,6 +24,7 @@ from obci import (
     preimage,
 )
 from obci import fixtures as fx
+from obci.harness import enumerate_obci
 
 exy = fx.ALGEBRAS["exy"]
 ea = fx.ALGEBRAS["ea"]
@@ -97,6 +100,20 @@ def test_kernels_match_definitional_values():
     assert kernel(exy_to_ea).member_labels() == ("e", "x")
     assert kernel(mid3_id).member_labels() == ("1/2", "0")
     assert kernel(mid3_swap).member_labels() == ("1", "1/2")
+
+
+def small_algebras():
+    return [a.structure for n in (1, 2) for a in enumerate_obci(n)]
+
+
+def test_kernel_matches_definition_on_small_enumerated_maps():
+    algebras = small_algebras()
+    for src in algebras:
+        for dst in algebras:
+            for m in enumerate_maps(src, dst):
+                expected = {x for x in range(src.n)
+                            if dst.order[dst.unit][m.table[x]]}
+                assert set(kernel(m).members()) == expected, m
 
 
 def test_kernel_alt_agrees_with_kernel_on_fixtures():
@@ -179,3 +196,82 @@ def test_image_preimage_galois_connection(src_mask, dst_mask):
     t = Subset(ea, dst_mask)
     assert s.issubset(preimage(exy_to_ea, image(exy_to_ea, s)))
     assert image(exy_to_ea, preimage(exy_to_ea, t)).issubset(t)
+
+
+# --- classify against the cell-by-cell definition -----------------------------
+
+def reference_classify(m, witness_cap):
+    """Both laws checked cell by cell, witnesses in lexicographic order."""
+    src, dst, t = m.source, m.target, m.table
+    cone_s = src.order[src.unit]
+    cone_t = dst.order[dst.unit]
+    hom_w, omap_w = [], []
+    for x in range(src.n):
+        for y in range(src.n):
+            lhs = t[src.op[x][y]]
+            rhs = dst.op[t[x]][t[y]]
+            if lhs != rhs:
+                hom_w.append((x, y))
+            if cone_s[src.op[x][y]] and not cone_t[rhs]:
+                omap_w.append((x, y))
+    if witness_cap is not None:
+        hom_w, omap_w = hom_w[:witness_cap], omap_w[:witness_cap]
+    return MorphismClass(is_hom=not hom_w, is_omap=not omap_w,
+                         hom_witnesses=tuple(hom_w), omap_witnesses=tuple(omap_w))
+
+
+WITNESS_CAPS = (None, 1, 32)
+
+
+def assert_classify_matches_reference(m):
+    for cap in WITNESS_CAPS:
+        assert classify(m, witness_cap=cap) == reference_classify(m, cap), (m, cap)
+
+
+def test_classify_matches_reference_on_small_enumerated_algebras():
+    algebras = small_algebras()
+    kinds = set()
+    for src in algebras:
+        for dst in algebras:
+            for m in enumerate_maps(src, dst):
+                assert_classify_matches_reference(m)
+                cls = classify(m)
+                kinds.add((cls.is_hom, cls.is_omap))
+    assert kinds == {(True, True), (False, True), (False, False)}
+
+
+def test_classify_matches_reference_on_fixtures():
+    for m in fx.MAPS.values():
+        assert_classify_matches_reference(m)
+    structures = list(fx.ALGEBRAS.values())
+    kinds = set()
+    for src in structures:
+        for dst in structures:
+            for m in enumerate_maps(src, dst):
+                assert_classify_matches_reference(m)
+                cls = classify(m)
+                kinds.add((cls.is_hom, cls.is_omap))
+    # the raw fixtures also give homomorphisms that fail the O-map law,
+    # the one verdict the mask test alone decides
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@st.composite
+def raw_maps(draw):
+    def structure(name):
+        n = draw(st.integers(min_value=1, max_value=3))
+        cell = st.integers(min_value=0, max_value=n - 1)
+        op = tuple(tuple(draw(cell) for _ in range(n)) for _ in range(n))
+        order = tuple(tuple(draw(st.booleans()) for _ in range(n)) for _ in range(n))
+        return RawStructure(name, tuple(f"{name}{i}" for i in range(n)), op,
+                            draw(cell), order)
+
+    src, dst = structure("s"), structure("t")
+    table = tuple(draw(st.integers(min_value=0, max_value=dst.n - 1))
+                  for _ in range(src.n))
+    return Mapping(src, dst, table)
+
+
+@given(raw_maps())
+def test_classify_matches_reference_on_raw_structures(m):
+    assert_classify_matches_reference(m)

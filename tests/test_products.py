@@ -9,6 +9,7 @@ from obci import (
     constant_to_unit,
     direct_product,
     direct_product_kernel,
+    enumerate_maps,
     identity_map,
     k_upper_sets,
     kernel,
@@ -210,3 +211,60 @@ def test_products_of_enumerated_algebras_validate():
         for right in algebras:
             _, report = direct_product(left, right, witness_cap=1)
             assert report.holds, (left.name, right.name)
+
+
+# --- the bit-level set code against set comprehensions ------------------------
+
+def small_algebras():
+    from obci.harness import enumerate_obci
+
+    return [a.structure for n in (1, 2) for a in enumerate_obci(n)]
+
+
+def test_projection_kernels_match_set_derivation_on_every_subset():
+    algebras = small_algebras()
+    shapes = set()
+    for left_alg in algebras:
+        for right_alg in algebras:
+            product = ProductAlgebra(left_alg, right_alg,
+                                     product_structure(left_alg, right_alg))
+            n2 = right_alg.n
+            for mask in range(1 << product.combined.n):
+                k = Subset(product.combined, mask)
+                members = {i for i in range(product.combined.n) if mask >> i & 1}
+                rows = {i // n2 for i in members}
+                cols = {i % n2 for i in members}
+                if members != {x1 * n2 + x2 for x1 in rows for x2 in cols}:
+                    shapes.add("non-rectangle")
+                    with pytest.raises(ShapeError):
+                        projection_kernels(product, k)
+                    continue
+                shapes.add("empty" if not members else
+                           "full" if len(members) == product.combined.n else
+                           "rectangle")
+                left, right = projection_kernels(product, k)
+                assert left == Subset.from_indices(left_alg, rows)
+                assert right == Subset.from_indices(right_alg, cols)
+    assert shapes == {"non-rectangle", "empty", "full", "rectangle"}
+
+
+def test_k_upper_sets_match_set_derivation_for_arbitrary_k_sets():
+    algebras = small_algebras()
+    maps = [m for src in algebras for dst in algebras
+            for m in enumerate_maps(src, dst)]
+    for f1 in maps:
+        for f2 in maps:
+            n2 = f2.source.n
+            up1 = {x1 for x1 in range(f1.source.n)
+                   if f1.target.order[f1.target.unit][f1.table[x1]]}
+            up2 = {x2 for x2 in range(n2)
+                   if f2.target.order[f2.target.unit][f2.table[x2]]}
+            for mask1 in range(1 << f1.source.n):
+                for mask2 in range(1 << n2):
+                    k1, k2 = Subset(f1.source, mask1), Subset(f2.source, mask2)
+                    first, second, equal = k_upper_sets(k1, k2, f1, f2)
+                    expected_first = {x1 * n2 + x2 for x1 in k1.members() for x2 in up2}
+                    expected_second = {x1 * n2 + x2 for x1 in up1 for x2 in k2.members()}
+                    assert set(first.members()) == expected_first
+                    assert set(second.members()) == expected_second
+                    assert equal == (expected_first == expected_second)
