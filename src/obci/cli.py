@@ -39,15 +39,8 @@ from .fileio import ParseError, load_algebra, load_map, serialize_algebra
 from .fixtures import Finding
 from .morphisms import Mapping, classify, kernel, kernel_alt
 from .products import direct_product, pair_map
-from .substructures import (
-    SubstructureKind,
-    enumerate_substructures,
-    is_closed,
-    is_filter,
-    is_ordered_filter,
-    is_ordered_subalgebra,
-    is_subalgebra,
-)
+from .substructures import CHECKS as substructure_checks
+from .substructures import SubstructureKind, enumerate_substructures
 
 _KIND_CHOICES = {k.value: k for k in SubstructureKind}
 
@@ -183,30 +176,14 @@ def _parse_set(s: RawStructure, set_text: str) -> Subset:
 def _cmd_substructure(args, out: _Out) -> int:
     s = _load_algebra_arg(args.file)
     subset = _parse_set(s, args.set)
-    kind = _KIND_CHOICES[args.kind]
+    check = substructure_checks[_KIND_CHOICES[args.kind]]
     try:
-        return _run_substructure(args, out, s, subset, kind)
+        r = check(s, subset, witness_cap=args.witness_cap)
     except PreconditionError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         if exc.report is not None:
             out.law(exc.report, s.labels)
         return 2
-
-
-def _run_substructure(args, out: _Out, s, subset, kind) -> int:
-    if kind is SubstructureKind.SUBALGEBRA:
-        r = is_subalgebra(s, subset, witness_cap=args.witness_cap)
-    elif kind is SubstructureKind.ORDERED_SUBALGEBRA:
-        r = is_ordered_subalgebra(s, subset, witness_cap=args.witness_cap)
-    elif kind is SubstructureKind.FILTER:
-        r = is_filter(s, subset, witness_cap=args.witness_cap)
-    elif kind is SubstructureKind.ORDERED_FILTER:
-        r = is_ordered_filter(s, subset, witness_cap=args.witness_cap)
-    elif kind is SubstructureKind.CLOSED_FILTER:
-        r = is_closed(s, subset, SubstructureKind.FILTER, witness_cap=args.witness_cap)
-    else:
-        r = is_closed(s, subset, SubstructureKind.ORDERED_FILTER,
-                      witness_cap=args.witness_cap)
     out.law(r, s.labels)
     return 0 if r.holds else 1
 

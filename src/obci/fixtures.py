@@ -162,22 +162,19 @@ def _audit_classify(name: str, stated: tuple[bool, bool]) -> Finding | None:
                    tuple(witnesses))
 
 
+_AUDITS = {"valid": _audit_valid, "kernel": _audit_kernel, "classify": _audit_classify}
+
+
+def _audit(claims) -> tuple[Finding, ...]:
+    findings = (_AUDITS[c.topic](c.subject, c.stated) for c in claims)
+    return tuple(f for f in findings if f is not None)
+
+
 def audit() -> tuple[Finding, ...]:
     """Recompute every stated claim; one Finding per divergence."""
-    out: list[Finding] = []
-    for claim in STATED:
-        if claim.topic == "valid":
-            f = _audit_valid(claim.subject, claim.stated)
-        elif claim.topic == "kernel":
-            f = _audit_kernel(claim.subject, claim.stated)
-        elif claim.topic == "classify":
-            f = _audit_classify(claim.subject, claim.stated)
-        else:
-            raise ValueError(f"unknown claim topic {claim.topic!r}")
-        if f is not None:
-            out.append(f)
-    return tuple(out)
+    return _audit(STATED)
 
 
 def findings_for(subject: str) -> tuple[Finding, ...]:
-    return tuple(f for f in audit() if f.subject == subject)
+    """The audit of one subject's stated claims only."""
+    return _audit(c for c in STATED if c.subject == subject)

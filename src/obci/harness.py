@@ -7,26 +7,37 @@ cone-generated, so the linking axiom holds by construction.  A naive
 generate-and-test enumerator over raw tables and explicit relation
 matrices provides the independent completeness oracle at small sizes.
 
-`verify_claim` machine-checks one named proposition/theorem over a scope
-(enumerated sizes or the bundled fixtures), counting hypothesis-skipped
-instances and collecting counterexamples; `find_counterexample` answers
+Claims are data: `CLAIMS` gives each claim id its scope (the algebras,
+the maps or the ordered pairs of O-homomorphisms of a sweep), a
+hypothesis and a conclusion, and `CLAIM_IDS` is its key order.
+`verify_claim` machine-checks one claim over a scope (enumerated sizes or
+the bundled fixtures), counting hypothesis-skipped instances and
+collecting counterexamples; `find_counterexample` answers
 separating-example queries such as "hom-not-omap".
 
-The four product claims (`T-pairmap-ohom`, `T-product-kernel`,
-`T-product-kernel-projection`, `T-ksets`) quantify over ordered pairs of
-O-homomorphisms.  `verify_all` checks every product claim it is given in
-one shared pass over those pairs, building each pair map, its kernel and
-each product once.  With `jobs=J` the work is cut into J fixed parts, each
-run by a worker process that builds the pool once: part k takes the pairs
-whose first factor lies in slice k of the O-homs, plus every J-th other
-claim from position k, and the parent adds the partial reports up.
+Subset predicates are decided once per algebra: the pool keeps an atlas
+(`substructures.Atlas`) of each algebra, one bitset per predicate over
+all subset masks, so hypotheses and subset loops read bits, and images
+and preimages are mask arithmetic over the map's table.  A predicate
+itself runs again only to name the witness of a failure the atlas shows.
+
+The claims a sweep asks for are checked in one pass per scope: over the
+algebras; over the maps, working out each map's class, kernel,
+surjectivity, unit preservation and reflection once; and over the
+O-homomorphism pairs, building each pair map, its kernel and each product
+once.  With `jobs=J` the sweep is cut into J fixed parts, each run by a
+worker process that builds the pool once: part k takes the contiguous
+slice k of every pass (the algebras, the maps, and the first factors of
+the pairs), and the parent adds each claim's partial reports up in k
+order, so counterexamples stay in pass order.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cache, cached_property
+from typing import Callable, NamedTuple
 
 from . import fixtures as fixture_lib
 from . import scan
@@ -46,11 +57,11 @@ from .morphisms import (
     classify,
     check_closed_kernel_condition,
     check_reflection_condition,
-    image,
+    image_mask,
     kernel,
     kernel_alt,
     monotonicity_report,
-    preimage,
+    preimage_mask,
 )
 from .products import (
     ProductAlgebra,
@@ -60,45 +71,12 @@ from .products import (
     projection_kernels,
     rectangle_mask,
 )
-from .substructures import (
-    is_filter,
-    is_ordered_filter,
-    is_ordered_subalgebra,
-    is_subalgebra,
-    satisfies_cone_condition,
-)
+from .substructures import CHECKS, Atlas, SubstructureKind
 
 DEFAULT_ALGEBRA_BUDGET = 200_000_000
 DEFAULT_NAIVE_BUDGET = 1_000_000
 
 _ENUM_LABELS = ("e", "a", "b", "c", "d", "f", "g", "h")
-
-CLAIM_IDS = (
-    "P-identities",
-    "P-ordfilter-is-filter",
-    "P-monotone",
-    "P-kernel-alt",
-    "P-closed-kernel",
-    "T-kernel-closed-converse",
-    "T-subalg-preimage",
-    "T-subalg-image",
-    "T-ordsubalg-preimage",
-    "T-ordsubalg-image-cone",
-    "T-ordsubalg-image-reflect",
-    "T-kernel-filter",
-    "T-kernel-ordfilter",
-    "T-filter-preimage",
-    "T-filter-image",
-    "T-ordfilter-preimage",
-    "T-ordfilter-image-reflect",
-    "T-ordfilter-image-kercone",
-    "T-filter-bijection",
-    "T-ordfilter-bijection",
-    "T-pairmap-ohom",
-    "T-product-kernel",
-    "T-product-kernel-projection",
-    "T-ksets",
-)
 
 
 @dataclass(frozen=True)
@@ -199,6 +177,12 @@ def enumerate_obci_naive(n: int, *, budget: int | None = DEFAULT_NAIVE_BUDGET):
 
 # --- quantification pool ---------------------------------------------------
 
+def _bounds(n: int, part) -> tuple[int, int]:
+    """Bounds of slice k of range(n) cut into `parts` contiguous slices."""
+    k, parts = part
+    return k * n // parts, (k + 1) * n // parts
+
+
 class _Pool:
     """Algebras and classified maps a sweep quantifies over."""
 
@@ -206,16 +190,18 @@ class _Pool:
                  fixture_maps: list[Mapping] | None = None):
         self.algebras = algebras
         self.fixture_maps = fixture_maps
-        self._by_structure = {a.structure: a for a in algebras}
+        self._position = {a.structure: i for i, a in enumerate(algebras)}
         self._map_cache: dict[tuple[int, int], list] = {}
-        # Product claims a sweep asks for, run together on the first request,
-        # and the part (k, parts) of the first factor's O-homs they cover.
-        self.product_claims: tuple[str, ...] = ()
-        self.product_part = (0, 1)
-        self._product_results: dict[str, tuple] = {}
+        # The claims a sweep asks for, checked together per scope on the
+        # first request, and the slice (k, parts) of every pass they cover.
+        self.claims: tuple[str, ...] = ()
+        self.part = (0, 1)
+        self._results: dict[str, tuple] = {}
 
-    def lookup(self, s: RawStructure) -> ValidatedAlgebra | None:
-        return self._by_structure.get(s)
+    @cached_property
+    def atlas(self) -> list[Atlas]:
+        """Substructure atlas of each algebra, by pool position."""
+        return [Atlas.of(a.structure) for a in self.algebras]
 
     def _pair_maps(self, i: int, j: int):
         key = (i, j)
@@ -229,38 +215,59 @@ class _Pool:
             self._map_cache[key] = entries
         return self._map_cache[key]
 
-    def maps(self):
-        """Yield (src_algebra, dst_algebra, mapping, class); an endpoint is
-        None when its structure is not validated (fixture scope only)."""
+    def maps(self, part=(0, 1)):
+        """Yield (i, j, mapping, class) for slice `part` of the maps, in map
+        order; i and j are the pool positions of the endpoints, None for a
+        structure that is not validated (fixture scope only)."""
         if self.fixture_maps is not None:
-            for m in self.fixture_maps:
-                yield (self.lookup(m.source), self.lookup(m.target), m, classify(m))
+            lo, hi = _bounds(len(self.fixture_maps), part)
+            for m in self.fixture_maps[lo:hi]:
+                yield (self._position.get(m.source), self._position.get(m.target),
+                       m, classify(m))
             return
-        for i in range(len(self.algebras)):
-            for j in range(len(self.algebras)):
-                A, B = self.algebras[i], self.algebras[j]
-                for m, cls in self._pair_maps(i, j):
-                    yield (A, B, m, cls)
+        blocks = [(i, j, b.n ** a.n) for i, a in enumerate(self.algebras)
+                  for j, b in enumerate(self.algebras)]
+        lo, hi = _bounds(sum(size for _, _, size in blocks), part)
+        for i, j, size in blocks:  # lo and hi relative to the block's start
+            if hi <= 0:
+                break
+            if lo < size:
+                for m, cls in self._pair_maps(i, j)[max(lo, 0):hi]:
+                    yield i, j, m, cls
+            lo -= size
+            hi -= size
 
     def ohoms(self):
         """(source index, target index, map) for every O-homomorphism
         between pool algebras, in map order."""
-        index = {id(a): i for i, a in enumerate(self.algebras)}
-        return [(index[id(A)], index[id(B)], m) for A, B, m, cls in self.maps()
-                if A is not None and B is not None and cls.is_ohom]
+        return [(i, j, m) for i, j, m, cls in self.maps()
+                if i is not None and j is not None and cls.is_ohom]
 
-    def product_sweep(self, claim: str, cap):
-        """One product claim's (checked, skipped, counterexamples).
+    def instances(self, scope: str):
+        """The instances of a scope in slice `part`, in order; None stands
+        for one every claim skips (an endpoint or a product that is no
+        algebra)."""
+        if scope == ALGEBRA:
+            lo, hi = _bounds(len(self.algebras), self.part)
+            return (_AlgebraFacts(self.algebras[i], self.atlas[i]) for i in range(lo, hi))
+        if scope == MAP:
+            return (None if i is None or j is None
+                    else _MapFacts(m, cls, self.atlas[i], self.atlas[j])
+                    for i, j, m, cls in self.maps(self.part))
+        return _ohom_pairs(self)
 
-        The first request runs it together with `product_claims` in one
-        pass over the O-homomorphism pairs of `product_part`; later
-        requests read the result.
+    def sweep(self, claim: str, cap):
+        """One claim's (checked, skipped, counterexamples) over slice `part`.
+
+        The first request for a scope checks it together with the other
+        `claims` of that scope in one pass; later requests read the result.
         """
-        if claim not in self._product_results:
-            claims = tuple(dict.fromkeys((claim, *self.product_claims)))
-            self._product_results.update(
-                _run_products(self, cap, claims, self.product_part))
-        return self._product_results[claim]
+        if claim not in self._results:
+            scope = CLAIMS[claim].scope
+            claims = [c for c in dict.fromkeys((claim, *self.claims))
+                      if CLAIMS[c].scope == scope]
+            self._results.update(_check(claims, self.instances(scope), cap))
+        return self._results[claim]
 
 
 def _pool_for(sizes=None, fixtures=None, *, up_to_iso=False) -> _Pool:
@@ -289,234 +296,63 @@ def _map_ctx(m: Mapping) -> str:
     return f"map={body}"
 
 
-def _ctx(A, B, m: Mapping) -> tuple[str, ...]:
-    return (f"X={(A.name if A else m.source.name)}",
-            f"Y={(B.name if B else m.target.name)}",
-            _map_ctx(m))
+def _ctx(m: Mapping) -> tuple[str, ...]:
+    return (f"X={m.source.name}", f"Y={m.target.name}", _map_ctx(m))
 
 
-def _set_ctx(tag: str, s: Subset) -> str:
-    return f"{tag}={{{','.join(s.member_labels())}}}"
+def _set_ctx(tag: str, universe: RawStructure, mask: int) -> str:
+    return f"{tag}={{{','.join(Subset(universe, mask).member_labels())}}}"
 
 
-# --- claim runners ---------------------------------------------------------
-
-def _run_identities(pool, cap):
-    checked, skipped, ces = 0, 0, []
-    for A in pool.algebras:
-        checked += 1
-        r = check_derived_identities(A, witness_cap=cap)
-        if not r.holds:
-            ces.append(Counterexample((f"X={A.name}",), r.witnesses[0]))
-    return checked, skipped, ces
+@cache
+def _supersets(n: int, mask: int) -> int:
+    """Bitset over the subset masks of an n-element set: those containing `mask`."""
+    return sum(1 << s for s in range(1 << n) if s & mask == mask)
 
 
-def _run_ordfilter_is_filter(pool, cap):
-    checked, skipped, ces = 0, 0, []
-    for A in pool.algebras:
-        s = A.structure
-        for mask in range(1 << s.n):
-            S = Subset(s, mask)
-            if not (is_ordered_filter(s, S, witness_cap=1).holds
-                    and satisfies_cone_condition(s, S, witness_cap=1).holds):
-                skipped += 1
-                continue
-            checked += 1
-            r = is_filter(s, S, witness_cap=cap)
-            if not r.holds:
-                ces.append(Counterexample((f"X={A.name}", _set_ctx("F", S)), r.witnesses[0]))
-    return checked, skipped, ces
+def _witness(kind, atlas: Atlas, universe: RawStructure, mask: int, cap):
+    """None when `kind` holds on the subset `mask` (read off the atlas);
+    otherwise the first witness of its check."""
+    if atlas.bits(kind) >> mask & 1:
+        return None
+    return CHECKS[kind](universe, Subset(universe, mask), witness_cap=cap).witnesses[0]
 
 
-def _map_sweep(pool, cap, hypothesis, conclusion):
-    """Generic sweep over the map pool.
+# --- instances ---------------------------------------------------------------
 
-    hypothesis(A, B, m, cls) -> bool; conclusion(A, B, m, cls) -> list of
-    (extra_context, witness) violations for that instance.
-    """
-    checked, skipped, ces = 0, 0, []
-    for A, B, m, cls in pool.maps():
-        if A is None or B is None or not hypothesis(A, B, m, cls):
-            skipped += 1
-            continue
-        checked += 1
-        for extra, witness in conclusion(A, B, m, cls):
-            ces.append(Counterexample(_ctx(A, B, m) + extra, witness))
-    return checked, skipped, ces
+class _AlgebraFacts(NamedTuple):
+    algebra: ValidatedAlgebra
+    atlas: Atlas
+
+    @property
+    def context(self) -> tuple[str, ...]:
+        return (f"X={self.algebra.name}",)
 
 
-def _is_ohom(A, B, m, cls):
-    return cls.is_ohom
+class _MapFacts:
+    """One map between pool algebras and the facts its claims read, each
+    worked out at most once."""
 
+    def __init__(self, m: Mapping, cls, source: Atlas, target: Atlas):
+        self.m = m
+        self.ohom = cls.is_ohom
+        self.source, self.target = source, target  # the endpoints' atlases
+        self.ker = kernel(m).mask
+        self.surjective = m.is_surjective()
+        self.unit = m.preserves_unit()
 
-def _run_monotone(pool, cap):
-    def conclusion(A, B, m, cls):
-        r = monotonicity_report(m, witness_cap=cap)
-        return [] if r.holds else [((), r.witnesses[0])]
-    return _map_sweep(pool, cap, _is_ohom, conclusion)
+    @cached_property
+    def reflects(self) -> bool:
+        return check_reflection_condition(self.m, witness_cap=1).holds
 
+    @cached_property
+    def closed_kernel(self) -> bool:
+        """The closed-kernel condition; asked of O-homomorphisms only."""
+        return check_closed_kernel_condition(self.m, witness_cap=1).holds
 
-def _run_kernel_alt(pool, cap):
-    def conclusion(A, B, m, cls):
-        lhs, rhs = kernel(m), kernel_alt(m)
-        if lhs.mask == rhs.mask:
-            return []
-        diff = tuple(sorted(set(lhs.members()) ^ set(rhs.members())))
-        return [((), diff)]
-    return _map_sweep(pool, cap, lambda A, B, m, cls: True, conclusion)
-
-
-def _run_closed_kernel(pool, cap):
-    checked, skipped, ces = 0, 0, []
-    for A, B, m, cls in pool.maps():
-        if A is None or B is None or not cls.is_ohom:
-            skipped += 1
-            continue
-        ker = kernel(m)
-        s = A.structure
-        hyp_closed = is_subalgebra(s, ker, witness_cap=1).holds
-        hyp_oclosed = (is_ordered_subalgebra(s, ker, witness_cap=1).holds
-                       and satisfies_cone_condition(s, ker, witness_cap=1).holds)
-        if not (hyp_closed or hyp_oclosed):
-            skipped += 1
-            continue
-        checked += 1
-        r = check_closed_kernel_condition(m, witness_cap=cap)
-        if not r.holds:
-            which = "closed" if hyp_closed else "ordered-closed"
-            ces.append(Counterexample(_ctx(A, B, m) + (f"case={which}",), r.witnesses[0]))
-    return checked, skipped, ces
-
-
-def _run_kernel_closed_converse(pool, cap):
-    def hypothesis(A, B, m, cls):
-        return (cls.is_ohom and m.preserves_unit()
-                and check_closed_kernel_condition(m, witness_cap=1).holds)
-
-    def conclusion(A, B, m, cls):
-        ker = kernel(m)
-        out = []
-        r1 = is_subalgebra(A.structure, ker, witness_cap=cap)
-        if not r1.holds:
-            out.append(((_set_ctx("ker", ker), "law=subalgebra"), r1.witnesses[0]))
-        r2 = is_ordered_subalgebra(A.structure, ker, witness_cap=cap)
-        if not r2.holds:
-            out.append(((_set_ctx("ker", ker), "law=ordered-subalgebra"), r2.witnesses[0]))
-        return out
-
-    return _map_sweep(pool, cap, hypothesis, conclusion)
-
-
-def _subset_transfer_sweep(pool, cap, *, map_hypothesis, side, subset_predicate,
-                           subset_extra=None, result_predicate):
-    """Image/preimage theorems: quantify over (map, subset) instances."""
-    checked, skipped, ces = 0, 0, []
-    for A, B, m, cls in pool.maps():
-        if A is None or B is None or not map_hypothesis(A, B, m, cls):
-            skipped += 1
-            continue
-        universe = B.structure if side == "target" else A.structure
-        for mask in range(1 << universe.n):
-            S = Subset(universe, mask)
-            if not subset_predicate(universe, S, witness_cap=1).holds:
-                skipped += 1
-                continue
-            if subset_extra is not None and not subset_extra(A, B, m, S):
-                skipped += 1
-                continue
-            checked += 1
-            if side == "target":
-                out = preimage(m, S)
-                out_structure = A.structure
-            else:
-                out = image(m, S)
-                out_structure = B.structure
-            r = result_predicate(out_structure, out, witness_cap=cap)
-            if not r.holds:
-                tag = "G" if side == "target" else "F"
-                ces.append(Counterexample(
-                    _ctx(A, B, m) + (_set_ctx(tag, S), _set_ctx("result", out)),
-                    r.witnesses[0]))
-    return checked, skipped, ces
-
-
-def _surjective_ohom(A, B, m, cls):
-    return cls.is_ohom and m.is_surjective()
-
-
-def _unit_ohom(A, B, m, cls):
-    return cls.is_ohom and m.preserves_unit()
-
-
-def _surjective_unit_ohom(A, B, m, cls):
-    return cls.is_ohom and m.is_surjective() and m.preserves_unit()
-
-
-def _reflective_surjective_ohom(A, B, m, cls):
-    return (cls.is_ohom and m.is_surjective()
-            and check_reflection_condition(m, witness_cap=1).holds)
-
-
-def _reflective_surjective_unit_ohom(A, B, m, cls):
-    return (_surjective_unit_ohom(A, B, m, cls)
-            and check_reflection_condition(m, witness_cap=1).holds)
-
-
-def _run_bijection(pool, cap, *, ordered):
-    checked, skipped, ces = 0, 0, []
-    for A, B, m, cls in pool.maps():
-        if (A is None or B is None or not cls.is_ohom
-                or not m.is_surjective() or not m.preserves_unit()):
-            skipped += 1
-            continue
-        checked += 1
-        sX, sY = A.structure, B.structure
-        ker = kernel(m)
-
-        def family(structure, *, require_ker, universe_is_source):
-            out = []
-            for mask in range(1 << structure.n):
-                S = Subset(structure, mask)
-                pred = is_ordered_filter if ordered else is_filter
-                if not pred(structure, S, witness_cap=1).holds:
-                    continue
-                if universe_is_source:
-                    if require_ker and not ker.issubset(S):
-                        continue
-                    if ordered and not satisfies_cone_condition(
-                            structure, S, witness_cap=1).holds:
-                        continue
-                out.append(S)
-            return out
-
-        fam_x = family(sX, require_ker=True, universe_is_source=True)
-        fam_y = family(sY, require_ker=False, universe_is_source=False)
-        problems = []
-        images = [image(m, F) for F in fam_x]
-        for F, img in zip(fam_x, images):
-            if img.mask not in {S.mask for S in fam_y}:
-                problems.append((("law=image-in-family", _set_ctx("F", F)),
-                                 tuple(img.member_labels())))
-            if preimage(m, img).mask != F.mask:
-                problems.append((("law=preimage-inverts", _set_ctx("F", F)),
-                                 tuple(img.member_labels())))
-        if len({img.mask for img in images}) != len(fam_x):
-            problems.append((("law=injective",), ()))
-        if {img.mask for img in images} != {S.mask for S in fam_y}:
-            problems.append((("law=surjective",), ()))
-        for G in fam_y:
-            pre = preimage(m, G)
-            if pre.mask not in {S.mask for S in fam_x} or image(m, pre).mask != G.mask:
-                problems.append((("law=preimage-in-family", _set_ctx("G", G)),
-                                 tuple(pre.member_labels())))
-        for extra, witness in problems:
-            ces.append(Counterexample(_ctx(A, B, m) + extra, witness))
-    return checked, skipped, ces
-
-
-def _pair_ctx(f1, f2):
-    return (f"f1={f1.source.name}->{f1.target.name}:{_map_ctx(f1)}",
-            f"f2={f2.source.name}->{f2.target.name}:{_map_ctx(f2)}")
+    @property
+    def context(self) -> tuple[str, ...]:
+        return _ctx(self.m)
 
 
 class _OhomPair(NamedTuple):
@@ -530,70 +366,22 @@ class _OhomPair(NamedTuple):
     pm: Mapping  # the pair map f1 x f2
     k: Subset  # ker(f1 x f2)
 
-
-def _check_pairmap_ohom(p: _OhomPair, cap):
-    cls = classify(p.pm, witness_cap=cap)
-    return [] if cls.is_ohom else [(cls.hom_witnesses or cls.omap_witnesses)[0]]
-
-
-def _check_product_kernel(p: _OhomPair, cap):
-    rhs = rectangle_mask(p.k1.mask, p.k2.mask, p.f2.source.n)
-    if p.k.mask == rhs:
-        return []
-    return [Subset(p.k.universe, p.k.mask ^ rhs).members()]
+    @property
+    def context(self) -> tuple[str, ...]:
+        return tuple(f"{tag}={f.source.name}->{f.target.name}:{_map_ctx(f)}"
+                     for tag, f in (("f1", self.f1), ("f2", self.f2)))
 
 
-def _check_product_kernel_projection(p: _OhomPair, cap):
-    try:
-        left, right = projection_kernels(p.source, p.k)
-    except ShapeError:
-        return [("non-rectangular",)]
-    if len(p.k) and (left.mask != p.k1.mask or right.mask != p.k2.mask):
-        return [(tuple(left.member_labels()), tuple(right.member_labels()))]
-    return []
+def _ohom_pairs(pool: _Pool):
+    """The ordered pairs of O-homs whose first factor lies in slice
+    `pool.part` of the O-homs, in pair order; None for a pair whose source
+    or target product is no algebra.
 
-
-def _check_ksets(p: _OhomPair, cap):
-    first, second, equal = k_upper_sets(p.k1, p.k2, p.f1, p.f2, source=p.source)
-    unit_pair = p.f1.source.unit * p.f2.source.n + p.f2.source.unit
-    problems = []
-    if not equal:
-        problems.append(("sides-differ",))
-    if first.mask != p.k.mask:
-        problems.append(("differs-from-pair-kernel",))
-    if unit_pair not in first:
-        problems.append(("unit-missing",))
-    return problems
-
-
-# Product claims quantify over ordered pairs of O-homomorphisms whose
-# source and target products are both algebras; each maps one pair to its
-# witnesses (none when the pair satisfies the claim).
-_PRODUCT_CHECKS = {
-    "T-pairmap-ohom": _check_pairmap_ohom,
-    "T-product-kernel": _check_product_kernel,
-    "T-product-kernel-projection": _check_product_kernel_projection,
-    "T-ksets": _check_ksets,
-}
-
-
-def _run_products(pool, cap, claims, part):
-    """The given product claims in one pass over the O-homomorphism pairs.
-
-    Each pair's map and kernel are built once and shared by every claim;
-    products are cached by the pool indices of their factors and checked
-    against all six axioms once each.  Pairs are streamed, never stored.
-    With part=(k, parts) only the pairs whose first factor lies in the
-    k-th of `parts` contiguous slices of the O-homs are checked, so the
-    parts' counterexamples, concatenated in k order, are in pair order.
-    Returns claim id -> (checked, skipped, counterexamples), the
-    counterexamples in pair order.
+    Products are cached by the pool positions of their factors and checked
+    against all six axioms once each; pairs are streamed, never stored.
     """
-    tallies = {c: [0, 0, []] for c in claims}
-    checks = [(_PRODUCT_CHECKS[c], tallies[c]) for c in claims]
     ohoms = [(i, j, f, kernel(f)) for i, j, f in pool.ohoms()]
-    k, parts = part
-    first = ohoms[k * len(ohoms) // parts:(k + 1) * len(ohoms) // parts]
+    lo, hi = _bounds(len(ohoms), pool.part)
     products: dict[tuple[int, int], tuple[ProductAlgebra, bool]] = {}
 
     def product_of(i1, i2, left, right):
@@ -605,116 +393,307 @@ def _run_products(pool, cap, claims, part):
             products[key] = (ProductAlgebra(left, right, combined), valid)
         return products[key]
 
-    for (s1, t1, f1, k1), (s2, t2, f2, k2) in itertools.product(first, ohoms):
+    for (s1, t1, f1, k1), (s2, t2, f2, k2) in itertools.product(ohoms[lo:hi], ohoms):
         src, src_ok = product_of(s1, s2, f1.source, f2.source)
         dst, dst_ok = product_of(t1, t2, f1.target, f2.target)
         if not (src_ok and dst_ok):
-            for _, tally in checks:
-                tally[1] += 1
+            yield None
             continue
         pm = pair_map(f1, f2, source=src, target=dst)
-        pair = _OhomPair(f1, f2, k1, k2, src, pm, kernel(pm))
-        for check, tally in checks:
-            tally[0] += 1
-            for witness in check(pair, cap):
-                tally[2].append(Counterexample(_pair_ctx(f1, f2), witness))
+        yield _OhomPair(f1, f2, k1, k2, src, pm, kernel(pm))
+
+
+# --- hypotheses ----------------------------------------------------------------
+
+def _always(instance):
+    return True
+
+
+def _ohom(f: _MapFacts):
+    return f.ohom
+
+
+def _unit_ohom(f: _MapFacts):
+    return f.ohom and f.unit
+
+
+def _surjective_ohom(f: _MapFacts):
+    return f.ohom and f.surjective
+
+
+def _surjective_unit_ohom(f: _MapFacts):
+    return f.ohom and f.surjective and f.unit
+
+
+def _closed_kernel_ohom(f: _MapFacts):
+    """ker is closed (a subalgebra) or ordered-closed (an ordered
+    subalgebra in the cone)."""
+    return f.ohom and bool((f.source.subalgebra
+                            | f.source.ordered_subalgebra & f.source.cone) >> f.ker & 1)
+
+
+# --- conclusions: (instance, cap) -> [(extra context, witness)] ----------------
+
+def _identities(f: _AlgebraFacts, cap):
+    r = check_derived_identities(f.algebra, witness_cap=cap)
+    return [((), r.witnesses[0])] if not r.holds else ()
+
+
+def _ordfilter_is_filter(f: _AlgebraFacts, mask, cap):
+    s = f.algebra.structure
+    w = _witness(FILTER, f.atlas, s, mask, cap)
+    return [((_set_ctx("F", s, mask),), w)] if w is not None else ()
+
+
+def _monotone(f: _MapFacts, cap):
+    r = monotonicity_report(f.m, witness_cap=cap)
+    return [((), r.witnesses[0])] if not r.holds else ()
+
+
+def _kernel_alt(f: _MapFacts, cap):
+    diff = f.ker ^ kernel_alt(f.m).mask
+    return [((), Subset(f.m.source, diff).members())] if diff else ()
+
+
+def _closed_kernel(f: _MapFacts, cap):
+    if f.closed_kernel:
+        return ()
+    case = "closed" if f.source.subalgebra >> f.ker & 1 else "ordered-closed"
+    r = check_closed_kernel_condition(f.m, witness_cap=cap)
+    return [((f"case={case}",), r.witnesses[0])]
+
+
+def _kernel_is(*kinds):
+    """ker is a subset of each kind; with several, a failure names its law."""
+    def conclusion(f: _MapFacts, cap):
+        found = []
+        for kind in kinds:
+            w = _witness(kind, f.source, f.m.source, f.ker, cap)
+            if w is not None:
+                law = (f"law={kind.value}",) if len(kinds) > 1 else ()
+                found.append(((_set_ctx("ker", f.m.source, f.ker), *law), w))
+        return found
+    return conclusion
+
+
+def _preimages(hypothesis, kind) -> Claim:
+    """Over maps, then every `kind` subset G of the target: the preimage of
+    G is a `kind` subset of the source."""
+    def subsets(f: _MapFacts):
+        return f.m.target.n, f.target.bits(kind)
+
+    def conclusion(f: _MapFacts, g, cap):
+        X, Y = f.m.source, f.m.target
+        pre = preimage_mask(f.m, g)
+        w = _witness(kind, f.source, X, pre, cap)
+        if w is None:
+            return ()
+        return [((_set_ctx("G", Y, g), _set_ctx("result", X, pre)), w)]
+
+    return Claim(MAP, hypothesis, conclusion, subsets)
+
+
+def _images(hypothesis, kind, *, in_cone=False, above_kernel=False) -> Claim:
+    """Over maps, then every `kind` subset F of the source (inside the cone,
+    containing the kernel, if asked): the image of F is a `kind` subset of
+    the target."""
+    def subsets(f: _MapFacts):
+        chosen = f.source.bits(kind)
+        if in_cone:
+            chosen &= f.source.cone
+        if above_kernel:
+            chosen &= _supersets(f.m.source.n, f.ker)
+        return f.m.source.n, chosen
+
+    def conclusion(f: _MapFacts, mask, cap):
+        X, Y = f.m.source, f.m.target
+        img = image_mask(f.m, mask)
+        w = _witness(kind, f.target, Y, img, cap)
+        if w is None:
+            return ()
+        return [((_set_ctx("F", X, mask), _set_ctx("result", Y, img)), w)]
+
+    return Claim(MAP, hypothesis, conclusion, subsets)
+
+
+def _bijection(kind, *, in_cone=False):
+    """Image and preimage are inverse bijections between the source's `kind`
+    subsets containing the kernel (inside the cone, if asked) and the
+    target's `kind` subsets; one counterexample per failing law."""
+    def conclusion(f: _MapFacts, cap):
+        m, X, Y = f.m, f.m.source, f.m.target
+        fam_x = f.source.bits(kind) & _supersets(X.n, f.ker)
+        if in_cone:
+            fam_x &= f.source.cone
+        fam_y = f.target.bits(kind)
+        found, images = [], 0
+        for F in range(1 << X.n):
+            if not fam_x >> F & 1:
+                continue
+            img = image_mask(m, F)
+            images |= 1 << img
+            labels = Subset(Y, img).member_labels()
+            if not fam_y >> img & 1:
+                found.append((("law=image-in-family", _set_ctx("F", X, F)), labels))
+            if preimage_mask(m, img) != F:
+                found.append((("law=preimage-inverts", _set_ctx("F", X, F)), labels))
+        if images.bit_count() != fam_x.bit_count():
+            found.append((("law=injective",), ()))
+        if images != fam_y:
+            found.append((("law=surjective",), ()))
+        for G in range(1 << Y.n):
+            if not fam_y >> G & 1:
+                continue
+            pre = preimage_mask(m, G)
+            if not fam_x >> pre & 1 or image_mask(m, pre) != G:
+                found.append((("law=preimage-in-family", _set_ctx("G", Y, G)),
+                              Subset(X, pre).member_labels()))
+        return found
+    return conclusion
+
+
+def _pairmap_ohom(p: _OhomPair, cap):
+    cls = classify(p.pm, witness_cap=cap)
+    return [((), (cls.hom_witnesses or cls.omap_witnesses)[0])] if not cls.is_ohom else ()
+
+
+def _product_kernel(p: _OhomPair, cap):
+    rhs = rectangle_mask(p.k1.mask, p.k2.mask, p.f2.source.n)
+    if p.k.mask == rhs:
+        return ()
+    return [((), Subset(p.k.universe, p.k.mask ^ rhs).members())]
+
+
+def _product_kernel_projection(p: _OhomPair, cap):
+    try:
+        left, right = projection_kernels(p.source, p.k)
+    except ShapeError:
+        return [((), ("non-rectangular",))]
+    if len(p.k) and (left.mask != p.k1.mask or right.mask != p.k2.mask):
+        return [((), (left.member_labels(), right.member_labels()))]
+    return ()
+
+
+def _ksets(p: _OhomPair, cap):
+    first, second, equal = k_upper_sets(p.k1, p.k2, p.f1, p.f2, source=p.source)
+    unit_pair = p.f1.source.unit * p.f2.source.n + p.f2.source.unit
+    problems = []
+    if not equal:
+        problems.append(((), ("sides-differ",)))
+    if first.mask != p.k.mask:
+        problems.append(((), ("differs-from-pair-kernel",)))
+    if unit_pair not in first:
+        problems.append(((), ("unit-missing",)))
+    return problems
+
+
+# --- the claims ------------------------------------------------------------------
+
+ALGEBRA, MAP, PAIR = "algebra", "map", "pair"
+
+
+class Claim(NamedTuple):
+    """A claim as data.
+
+    `scope` names what it quantifies over: the algebras, the maps or the
+    ordered pairs of O-homomorphisms of a sweep.  An instance failing
+    `hypothesis` is one skip.  Without `subsets`, `conclusion(instance,
+    cap)` checks an instance; with it, `subsets(instance)` gives (n, chosen)
+    and `conclusion(instance, mask, cap)` checks each subset mask in the
+    bitset `chosen`, the other masks of the n-element universe being
+    skipped.  A conclusion returns (extra context, witness) per violation.
+    """
+
+    scope: str
+    hypothesis: Callable
+    conclusion: Callable
+    subsets: Callable | None = None
+
+
+FILTER, ORDERED_FILTER = SubstructureKind.FILTER, SubstructureKind.ORDERED_FILTER
+SUBALGEBRA, ORDERED_SUBALGEBRA = (SubstructureKind.SUBALGEBRA,
+                                  SubstructureKind.ORDERED_SUBALGEBRA)
+
+CLAIMS: dict[str, Claim] = {
+    "P-identities": Claim(ALGEBRA, _always, _identities),
+    "P-ordfilter-is-filter": Claim(
+        ALGEBRA, _always, _ordfilter_is_filter,
+        lambda f: (f.algebra.n, f.atlas.ordered_filter & f.atlas.cone)),
+    "P-monotone": Claim(MAP, _ohom, _monotone),
+    "P-kernel-alt": Claim(MAP, _always, _kernel_alt),
+    "P-closed-kernel": Claim(MAP, _closed_kernel_ohom, _closed_kernel),
+    "T-kernel-closed-converse": Claim(MAP, lambda f: _unit_ohom(f) and f.closed_kernel,
+                                      _kernel_is(SUBALGEBRA, ORDERED_SUBALGEBRA)),
+    "T-subalg-preimage": _preimages(_ohom, SUBALGEBRA),
+    "T-subalg-image": _images(_surjective_ohom, SUBALGEBRA),
+    "T-ordsubalg-preimage": _preimages(_ohom, ORDERED_SUBALGEBRA),
+    "T-ordsubalg-image-cone": _images(_surjective_ohom, ORDERED_SUBALGEBRA, in_cone=True),
+    "T-ordsubalg-image-reflect": _images(lambda f: _surjective_ohom(f) and f.reflects,
+                                         ORDERED_SUBALGEBRA),
+    "T-kernel-filter": Claim(MAP, _ohom, _kernel_is(FILTER)),
+    "T-kernel-ordfilter": Claim(MAP, _ohom, _kernel_is(ORDERED_FILTER)),
+    "T-filter-preimage": _preimages(_unit_ohom, FILTER),
+    "T-filter-image": _images(_surjective_unit_ohom, FILTER),
+    "T-ordfilter-preimage": _preimages(_unit_ohom, ORDERED_FILTER),
+    "T-ordfilter-image-reflect": _images(lambda f: _surjective_unit_ohom(f) and f.reflects,
+                                         ORDERED_FILTER),
+    "T-ordfilter-image-kercone": _images(_surjective_unit_ohom, ORDERED_FILTER,
+                                         in_cone=True, above_kernel=True),
+    "T-filter-bijection": Claim(MAP, _surjective_unit_ohom, _bijection(FILTER)),
+    "T-ordfilter-bijection": Claim(MAP, _surjective_unit_ohom,
+                                   _bijection(ORDERED_FILTER, in_cone=True)),
+    # Over pairs whose source and target products are both algebras.
+    "T-pairmap-ohom": Claim(PAIR, _always, _pairmap_ohom),
+    "T-product-kernel": Claim(PAIR, _always, _product_kernel),
+    "T-product-kernel-projection": Claim(PAIR, _always, _product_kernel_projection),
+    "T-ksets": Claim(PAIR, _always, _ksets),
+}
+
+CLAIM_IDS = tuple(CLAIMS)
+
+
+def _check(claims, instances, cap):
+    """Claims of one scope in one pass over its instances.
+
+    A None instance, or one failing a claim's hypothesis, is one skip.
+    Returns claim id -> (checked, skipped, counterexamples), the
+    counterexamples in instance order.
+    """
+    tallies = {c: [0, 0, []] for c in claims}
+    specs = [(*CLAIMS[c], tallies[c]) for c in claims]
+    for inst in instances:
+        for _, hypothesis, conclusion, subsets, tally in specs:
+            if inst is None or not hypothesis(inst):
+                tally[1] += 1
+                continue
+            if subsets is None:
+                tally[0] += 1
+                found = conclusion(inst, cap)
+            else:
+                n, chosen = subsets(inst)
+                count = chosen.bit_count()
+                tally[0] += count
+                tally[1] += (1 << n) - count
+                found = [v for mask in range(1 << n) if chosen >> mask & 1
+                         for v in conclusion(inst, mask, cap)]
+            for extra, witness in found:
+                tally[2].append(Counterexample(inst.context + extra, witness))
     return {c: tuple(t) for c, t in tallies.items()}
 
 
-def _runner(claim):
-    if claim == "P-identities":
-        return _run_identities
-    if claim == "P-ordfilter-is-filter":
-        return _run_ordfilter_is_filter
-    if claim == "P-monotone":
-        return _run_monotone
-    if claim == "P-kernel-alt":
-        return _run_kernel_alt
-    if claim == "P-closed-kernel":
-        return _run_closed_kernel
-    if claim == "T-kernel-closed-converse":
-        return _run_kernel_closed_converse
-    if claim == "T-subalg-preimage":
-        return lambda pool, cap: _subset_transfer_sweep(
-            pool, cap, map_hypothesis=_is_ohom, side="target",
-            subset_predicate=is_subalgebra, result_predicate=is_subalgebra)
-    if claim == "T-subalg-image":
-        return lambda pool, cap: _subset_transfer_sweep(
-            pool, cap, map_hypothesis=_surjective_ohom, side="source",
-            subset_predicate=is_subalgebra, result_predicate=is_subalgebra)
-    if claim == "T-ordsubalg-preimage":
-        return lambda pool, cap: _subset_transfer_sweep(
-            pool, cap, map_hypothesis=_is_ohom, side="target",
-            subset_predicate=is_ordered_subalgebra,
-            result_predicate=is_ordered_subalgebra)
-    if claim == "T-ordsubalg-image-cone":
-        return lambda pool, cap: _subset_transfer_sweep(
-            pool, cap, map_hypothesis=_surjective_ohom, side="source",
-            subset_predicate=is_ordered_subalgebra,
-            subset_extra=lambda A, B, m, S: satisfies_cone_condition(
-                A.structure, S, witness_cap=1).holds,
-            result_predicate=is_ordered_subalgebra)
-    if claim == "T-ordsubalg-image-reflect":
-        return lambda pool, cap: _subset_transfer_sweep(
-            pool, cap, map_hypothesis=_reflective_surjective_ohom, side="source",
-            subset_predicate=is_ordered_subalgebra,
-            result_predicate=is_ordered_subalgebra)
-    if claim == "T-kernel-filter":
-        return lambda pool, cap: _map_sweep(
-            pool, cap, _is_ohom,
-            lambda A, B, m, cls: _kernel_predicate(A, m, is_filter, cap))
-    if claim == "T-kernel-ordfilter":
-        return lambda pool, cap: _map_sweep(
-            pool, cap, _is_ohom,
-            lambda A, B, m, cls: _kernel_predicate(A, m, is_ordered_filter, cap))
-    if claim == "T-filter-preimage":
-        return lambda pool, cap: _subset_transfer_sweep(
-            pool, cap, map_hypothesis=_unit_ohom, side="target",
-            subset_predicate=is_filter, result_predicate=is_filter)
-    if claim == "T-filter-image":
-        return lambda pool, cap: _subset_transfer_sweep(
-            pool, cap, map_hypothesis=_surjective_unit_ohom, side="source",
-            subset_predicate=is_filter, result_predicate=is_filter)
-    if claim == "T-ordfilter-preimage":
-        return lambda pool, cap: _subset_transfer_sweep(
-            pool, cap, map_hypothesis=_unit_ohom, side="target",
-            subset_predicate=is_ordered_filter, result_predicate=is_ordered_filter)
-    if claim == "T-ordfilter-image-reflect":
-        return lambda pool, cap: _subset_transfer_sweep(
-            pool, cap, map_hypothesis=_reflective_surjective_unit_ohom, side="source",
-            subset_predicate=is_ordered_filter, result_predicate=is_ordered_filter)
-    if claim == "T-ordfilter-image-kercone":
-        return lambda pool, cap: _subset_transfer_sweep(
-            pool, cap, map_hypothesis=_surjective_unit_ohom, side="source",
-            subset_predicate=is_ordered_filter,
-            subset_extra=lambda A, B, m, S: (
-                kernel(m).issubset(S)
-                and satisfies_cone_condition(A.structure, S, witness_cap=1).holds),
-            result_predicate=is_ordered_filter)
-    if claim == "T-filter-bijection":
-        return lambda pool, cap: _run_bijection(pool, cap, ordered=False)
-    if claim == "T-ordfilter-bijection":
-        return lambda pool, cap: _run_bijection(pool, cap, ordered=True)
-    if claim in _PRODUCT_CHECKS:
-        return lambda pool, cap: pool.product_sweep(claim, cap)
-    raise ValueError(f"unknown claim id {claim!r}")
-
-
-def _kernel_predicate(A, m, predicate, cap):
-    ker = kernel(m)
-    r = predicate(A.structure, ker, witness_cap=cap)
-    if r.holds:
-        return []
-    return [((_set_ctx("ker", ker),), r.witnesses[0])]
+def _known(claim: str) -> str:
+    if claim not in CLAIMS:
+        raise ValueError(f"unknown claim id {claim!r}")
+    return claim
 
 
 def verify_claim(claim: str, *, sizes=None, fixtures=None, up_to_iso: bool = False,
                  witness_cap: int | None = DEFAULT_WITNESS_CAP,
                  _pool: _Pool | None = None) -> SweepReport:
     """Machine-check one claim over the scope; see CLAIM_IDS for names."""
-    runner = _runner(claim)
+    _known(claim)
     pool = _pool if _pool is not None else _pool_for(sizes, fixtures, up_to_iso=up_to_iso)
-    checked, skipped, ces = runner(pool, witness_cap)
+    checked, skipped, ces = pool.sweep(claim, witness_cap)
     return SweepReport(claim, checked, skipped, tuple(ces))
 
 
@@ -726,47 +705,33 @@ def verify_all(claims=CLAIM_IDS, *, sizes=None, fixtures=None,
 
     Each part (see `_run_part`) builds its own pool; with jobs > 1 every
     part runs in a worker process of its own.  Reports come back in claim
-    order and equal a serial run's: a product claim's partial reports are
-    added up, their counterexamples concatenated in part order.
+    order and equal a serial run's: each claim's partial reports are added
+    up, their counterexamples concatenated in part order.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    claims = tuple(claims)
-    for c in claims:
-        _runner(c)  # fail fast on unknown ids
+    claims = tuple(_known(c) for c in claims)
     args = (claims, (sizes, fixtures, up_to_iso), witness_cap)
     parts = [_run_part(*args, 0, 1)] if jobs == 1 else _run_in_workers(args, jobs)
-    partial = [[] for _ in claims]
-    for results in parts:
-        for i, report in results:
-            partial[i].append(report)
     return [SweepReport(c, sum(r.instances_checked for r in reports),
                         sum(r.hypothesis_skipped for r in reports),
                         tuple(ce for r in reports for ce in r.counterexamples))
-            for c, reports in zip(claims, partial)]
+            for c, *reports in zip(claims, *parts)]
 
 
 def _run_part(claims, scope, witness_cap, k, parts):
-    """Part k of `parts`, as (claim position, report) pairs in claim order.
-
-    The part runs every product claim over the pairs whose first factor
-    lies in slice k of the O-homs (one fused pass), and every parts-th
-    other claim from position k.  It builds the pool only if it has a claim.
-    """
-    products = tuple(c for c in claims if c in _PRODUCT_CHECKS)
-    others = [i for i, c in enumerate(claims) if c not in _PRODUCT_CHECKS]
-    mine = set(others[k::parts])
-    positions = [i for i, c in enumerate(claims) if c in products or i in mine]
-    if not positions:
+    """Part k of `parts`: each claim's report over slice k of every pass
+    (algebras, maps, first factors of the O-hom pairs), in claim order.
+    It builds the pool only if it has a claim."""
+    if not claims:
         return []
     sizes, fixtures, up_to_iso = scope
     pool = _pool_for(sizes, fixtures, up_to_iso=up_to_iso)
-    pool.product_claims = products
-    pool.product_part = (k, parts)
+    pool.claims = claims
+    pool.part = (k, parts)
     # Through verify_claim, one call per claim, so that claim-level hooks
     # (timing, tracing) see each claim in every part.
-    return [(i, verify_claim(claims[i], witness_cap=witness_cap, _pool=pool))
-            for i in positions]
+    return [verify_claim(c, witness_cap=witness_cap, _pool=pool) for c in claims]
 
 
 def _run_in_workers(args, jobs):
@@ -837,11 +802,11 @@ def find_counterexample(query: str, *, sizes=None, fixtures=None,
     """First witness for a separating-example query or a claim id."""
     if query in SEARCH_QUERIES:
         pool = _pool_for(sizes, fixtures, up_to_iso=up_to_iso)
-        for A, B, m, cls in pool.maps():
+        for _, _, m, cls in pool.maps():
             if query == "hom-not-omap" and cls.is_hom and not cls.is_omap:
-                return Counterexample(_ctx(A, B, m), cls.omap_witnesses[0])
+                return Counterexample(_ctx(m), cls.omap_witnesses[0])
             if query == "omap-not-hom" and cls.is_omap and not cls.is_hom:
-                return Counterexample(_ctx(A, B, m), cls.hom_witnesses[0])
+                return Counterexample(_ctx(m), cls.hom_witnesses[0])
         return None
     if query in CLAIM_IDS:
         report = verify_claim(query, sizes=sizes, fixtures=fixtures,

@@ -10,6 +10,8 @@ reports the marker witness ("missing-unit",).
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
+from typing import NamedTuple
 
 from .core import (
     DEFAULT_WITNESS_CAP,
@@ -125,25 +127,57 @@ def is_closed(a: RawStructure, s: Subset, kind: SubstructureKind, *,
     raise ValueError(f"is_closed expects FILTER or ORDERED_FILTER, got {kind}")
 
 
-_PLAIN_PREDICATES = {
+CHECKS = {
     SubstructureKind.SUBALGEBRA: is_subalgebra,
     SubstructureKind.ORDERED_SUBALGEBRA: is_ordered_subalgebra,
     SubstructureKind.FILTER: is_filter,
     SubstructureKind.ORDERED_FILTER: is_ordered_filter,
+    SubstructureKind.CLOSED_FILTER: partial(is_closed, kind=SubstructureKind.FILTER),
+    SubstructureKind.CLOSED_ORDERED_FILTER: partial(
+        is_closed, kind=SubstructureKind.ORDERED_FILTER),
 }
+"""The check deciding each kind, called as check(a, s, witness_cap=...).
+The closed kinds raise PreconditionError on a set that is no filter."""
 
 
 def holds_for(a: RawStructure, s: Subset, kind: SubstructureKind) -> bool:
-    """Verdict of the kind's predicate (closed kinds are conjunctions)."""
-    if kind in _PLAIN_PREDICATES:
-        return _PLAIN_PREDICATES[kind](a, s, witness_cap=1).holds
-    if kind is SubstructureKind.CLOSED_FILTER:
-        return (is_filter(a, s, witness_cap=1).holds
-                and is_subalgebra(a, s, witness_cap=1).holds)
-    if kind is SubstructureKind.CLOSED_ORDERED_FILTER:
-        return (is_ordered_filter(a, s, witness_cap=1).holds
-                and is_ordered_subalgebra(a, s, witness_cap=1).holds)
-    raise ValueError(f"unknown substructure kind {kind!r}")
+    """Verdict of the kind's check; a set failing its precondition fails."""
+    try:
+        return CHECKS[kind](a, s, witness_cap=1).holds
+    except PreconditionError:
+        return False
+
+
+class Atlas(NamedTuple):
+    """One algebra's subset predicates, each decided once on every subset.
+
+    Each field is a bitset over the subset masks: bit `mask` is set iff
+    the predicate holds on Subset(a, mask).
+    """
+
+    filter: int
+    ordered_filter: int
+    subalgebra: int
+    ordered_subalgebra: int
+    cone: int
+
+    @classmethod
+    def of(cls, a: RawStructure) -> "Atlas":
+        subsets = [Subset(a, mask) for mask in range(1 << a.n)]
+
+        def decided(predicate) -> int:
+            return sum(1 << s.mask for s in subsets if predicate(a, s, witness_cap=1).holds)
+
+        return cls(decided(is_filter), decided(is_ordered_filter), decided(is_subalgebra),
+                   decided(is_ordered_subalgebra), decided(satisfies_cone_condition))
+
+    def bits(self, kind: SubstructureKind) -> int:
+        """The bitset of a kind that is a single predicate (not a closed kind)."""
+        return self[_ATLAS_FIELD[kind]]
+
+
+_ATLAS_FIELD = {SubstructureKind.FILTER: 0, SubstructureKind.ORDERED_FILTER: 1,
+                SubstructureKind.SUBALGEBRA: 2, SubstructureKind.ORDERED_SUBALGEBRA: 3}
 
 
 def enumerate_substructures(a: RawStructure, kind: SubstructureKind, *,

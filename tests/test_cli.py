@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from obci import parse_algebra
+from obci import Subset, SubstructureKind, parse_algebra
 from obci.cli import main
 from obci import fixtures as fx
 
@@ -193,6 +193,28 @@ def test_verify_all_output_is_pinned(capsys, scope, reference):
     rc, out, _ = run(capsys, "--format", "machine", "verify", "all", *scope)
     assert rc == 1
     assert out.encode() == (Path(__file__).parent / "data" / reference).read_bytes()
+
+
+def _substructure_transcript(capsys) -> str:
+    """Every substructure and enumerate-substructures call on every
+    fixture algebra, kind and subset: arguments, exit code, stdout, stderr."""
+    parts = []
+    for name, s in fx.ALGEBRAS.items():
+        for kind in sorted(k.value for k in SubstructureKind):
+            calls = [("enumerate-substructures", f"fixture:{name}", "--kind", kind)]
+            calls += [("substructure", f"fixture:{name}", "--kind", kind, "--set",
+                       ",".join(Subset(s, mask).member_labels()))
+                      for mask in range(1 << s.n)]
+            for argv in calls:
+                rc, out, err = run(capsys, "--format", "machine", *argv)
+                parts.append(f"$ {' '.join(argv)} -> {rc}\n{out}{err}")
+    return "".join(parts)
+
+
+def test_substructure_commands_are_pinned_on_every_fixture(capsys):
+    # recorded at commit 1cc7880, before the six-branch dispatch became a lookup
+    reference = Path(__file__).parent / "data" / "substructure_fixtures.machine.txt"
+    assert _substructure_transcript(capsys) == reference.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

@@ -83,3 +83,23 @@ def test_stated_claims_that_hold_produce_no_findings():
 def test_findings_for_filter():
     assert fx.findings_for("mid3")
     assert not fx.findings_for("exy")
+
+
+def test_findings_for_audits_only_its_subject(monkeypatch):
+    subjects = {c.subject for c in fx.STATED}
+    audit = fx.audit()
+    for subject in subjects | {"nope"}:
+        assert fx.findings_for(subject) == tuple(f for f in audit
+                                                 if f.subject == subject)
+    audited = []
+
+    def recording(check):
+        def audit_one(subject, stated):
+            audited.append(subject)
+            return check(subject, stated)
+        return audit_one
+
+    for topic, check in list(fx._AUDITS.items()):
+        monkeypatch.setitem(fx._AUDITS, topic, recording(check))
+    fx.findings_for("diamond-to-chain")
+    assert audited == ["diamond-to-chain", "diamond-to-chain"]  # classify, kernel

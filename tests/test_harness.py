@@ -1,5 +1,7 @@
+import json
 import multiprocessing
 import os
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +164,18 @@ def test_search_by_claim_id():
     assert hit is not None
 
 
+def test_non_product_claims_give_the_benchmark_answers():
+    # the answers perfbench/ checks every sweep-s3-iso sample against
+    expected = json.loads((Path(__file__).parents[1] / "perfbench" / "expected"
+                           / "sweep-s3-iso.json").read_text())
+    claims = [c for c, spec in harness.CLAIMS.items() if spec.scope != "pair"]
+    assert len(claims) == 20
+    reports = verify_all(claims, sizes=(1, 2, 3), up_to_iso=True)
+    assert {r.claim: [r.verified, r.instances_checked, r.hypothesis_skipped,
+                      len(r.counterexamples)] for r in reports} == \
+        {c: expected[c] for c in claims}
+
+
 def test_parallel_verify_matches_serial():
     serial = verify_all(("P-identities", "T-kernel-filter"), sizes=(1, 2))
     parallel = verify_all(("P-identities", "T-kernel-filter"), sizes=(1, 2),
@@ -201,15 +215,39 @@ _FORK_ONLY = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                                 reason="needs the fork start method")
 
 
+def _patch_conclusion(monkeypatch, claim, conclusion):
+    monkeypatch.setitem(harness.CLAIMS, claim,
+                        harness.CLAIMS[claim]._replace(conclusion=conclusion))
+
+
+def _fails(instance, cap):
+    return [((), ("fails",))]
+
+
 @_FORK_ONLY
 def test_parallel_counterexamples_keep_pair_order(monkeypatch):
-    monkeypatch.setitem(harness._PRODUCT_CHECKS, "T-product-kernel",
-                        lambda pair, cap: [("fails",)])
+    _patch_conclusion(monkeypatch, "T-product-kernel", _fails)
     serial = verify_all(_MIXED_CLAIMS, sizes=(1, 2))
     failed = serial[_MIXED_CLAIMS.index("T-product-kernel")]
     assert len(failed.counterexamples) == failed.instances_checked > 1
     for jobs in (2, 3):
         assert verify_all(_MIXED_CLAIMS, sizes=(1, 2), jobs=jobs) == serial
+
+
+@_FORK_ONLY
+def test_parallel_counterexamples_keep_map_and_algebra_order(monkeypatch):
+    # 23 maps between the three algebras of sizes 1-2, in blocks of 1, 2
+    # and 4: the slices for jobs 2 and 3 cut through blocks
+    _patch_conclusion(monkeypatch, "P-kernel-alt", _fails)
+    _patch_conclusion(monkeypatch, "P-identities", _fails)
+    serial = verify_all(_MIXED_CLAIMS + ("P-kernel-alt",), sizes=(1, 2))
+    for claim, count in (("P-kernel-alt", 23), ("P-identities", 3)):
+        failed = next(r for r in serial if r.claim == claim)
+        assert len(failed.counterexamples) == failed.instances_checked == count
+    assert len({ce.context for ce in serial[-1].counterexamples}) == 23
+    for jobs in (2, 3):
+        assert verify_all(_MIXED_CLAIMS + ("P-kernel-alt",), sizes=(1, 2),
+                          jobs=jobs) == serial
 
 
 def _exit_worker(pair, cap):
@@ -224,7 +262,7 @@ def _raise(pair, cap):
 @pytest.mark.parametrize("check, error", [(_raise, ZeroDivisionError),
                                           (_exit_worker, RuntimeError)])
 def test_worker_failure_raises_in_parent(monkeypatch, check, error):
-    monkeypatch.setitem(harness._PRODUCT_CHECKS, "T-ksets", check)
+    _patch_conclusion(monkeypatch, "T-ksets", check)
     with pytest.raises(error):
         verify_all(_MIXED_CLAIMS, sizes=(1, 2), jobs=2)
 

@@ -49,6 +49,22 @@ def test_mapping_invariants():
     assert not constant_to_unit(exy, ea).is_surjective()
 
 
+@pytest.mark.parametrize("table, message", [
+    ((0, 1), "table has 2 entries for a carrier of size 3"),
+    ((0, 1, 0, 0), "table has 4 entries for a carrier of size 3"),
+    ((0, 1, "a"), "bad image at 2: 'a'"),
+    ((0, 1.0, 0), "bad image at 1: 1.0"),
+    ((0, None, 0), "bad image at 1: None"),
+    ((-1, 0, 0), "bad image at 0: -1"),
+    ((0, 0, 2), "bad image at 2: 2"),
+    ((0, 7, -3), "bad image at 1: 7"),  # the first bad entry is named
+])
+def test_mapping_rejects_bad_tables_by_name(table, message):
+    with pytest.raises(StructureError) as exc:
+        Mapping(exy, ea, table, "m")
+    assert str(exc.value) == f"map 'm': {message}"
+
+
 def test_swap_map_is_neither_hom_nor_omap_as_stored():
     # the source material asserts this map is a homomorphism, but the
     # stored table refutes it at the swapped idempotents

@@ -15,7 +15,8 @@ from obci import (
     satisfies_cone_condition,
 )
 from obci.core import BudgetError
-from obci.substructures import MISSING_UNIT, holds_for
+from obci.harness import enumerate_obci
+from obci.substructures import MISSING_UNIT, Atlas, holds_for
 from obci import fixtures as fx
 
 exy = fx.ALGEBRAS["exy"]
@@ -134,6 +135,27 @@ def test_enumeration_matches_predicates_everywhere():
             expected = [m for m in range(1 << s.n)
                         if holds_for(s, Subset(s, m), kind)]
             assert [t.mask for t in enumerate_substructures(s, kind)] == expected
+
+
+def test_atlas_decides_each_predicate_on_every_subset():
+    structures = [a.structure for n in (1, 2, 3) for a in enumerate_obci(n)]
+    structures += fx.ALGEBRAS.values()  # the invalid fixtures too
+    predicates = {"filter": is_filter, "ordered_filter": is_ordered_filter,
+                  "subalgebra": is_subalgebra,
+                  "ordered_subalgebra": is_ordered_subalgebra,
+                  "cone": satisfies_cone_condition}
+    assert set(predicates) == set(Atlas._fields)
+    for s in structures:
+        atlas = Atlas.of(s)
+        for field, predicate in predicates.items():
+            bits = getattr(atlas, field)
+            assert bits >> (1 << s.n) == 0
+            for m in range(1 << s.n):
+                assert bool(bits >> m & 1) == predicate(s, Subset(s, m)).holds
+        for kind in (SubstructureKind.FILTER, SubstructureKind.ORDERED_FILTER,
+                     SubstructureKind.SUBALGEBRA,
+                     SubstructureKind.ORDERED_SUBALGEBRA):
+            assert atlas.bits(kind) == getattr(atlas, kind.name.lower())
 
 
 def test_enumeration_budget():
