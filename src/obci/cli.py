@@ -65,7 +65,7 @@ class _Out:
             if report.holds:
                 print(f"law {report.law}: holds")
             else:
-                print(f"law {report.law}: VIOLATED at {ws}{more}")
+                print(f"law {report.law}: VIOLATED{(' at ' + ws) if ws else ''}{more}")
 
     def finding(self, f: Finding):
         ws = " ".join("(" + ",".join(w) + ")" for w in f.witnesses)

@@ -65,7 +65,9 @@ class CheckReport:
 
     `holds` is true exactly when no violating instance exists.  Witnesses
     are listed in lexicographic scan order; `truncated` marks a list cut
-    off at the cap (the verdict itself is always exhaustive).
+    off at the cap (the verdict itself is always exhaustive, so a law
+    violated under a cap of 0 reads as failing, truncated, with no
+    witnesses).
     """
 
     law: str
@@ -83,7 +85,8 @@ class CheckReport:
                 truncated = True
                 break
             ws.append(tuple(w))
-        return cls(law, holds=not ws, witnesses=tuple(ws), truncated=truncated)
+        return cls(law, holds=not ws and not truncated, witnesses=tuple(ws),
+                   truncated=truncated)
 
     def relabeled(self, law: str) -> "CheckReport":
         return replace(self, law=law)

@@ -1,8 +1,9 @@
 """Exhaustive small-model enumeration and claim verification.
 
 `enumerate_obci` generates every algebra on {0..n-1} with the unit fixed
-at index 0.  The scan space is pruned soundly: the unit row is forced to
-the identity (a derived law of the axioms) and relations are only ever
+at index 0, from the tables the backtracking search `scan.valid_tables`
+finds.  The scan space is pruned soundly: the unit row is forced to the
+identity (a derived law of the axioms) and relations are only ever
 cone-generated, so the linking axiom holds by construction.  A naive
 generate-and-test enumerator over raw tables and explicit relation
 matrices provides the independent completeness oracle at small sizes.

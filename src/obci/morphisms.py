@@ -97,13 +97,14 @@ def classify(m: Mapping, *, witness_cap: int | None = DEFAULT_WITNESS_CAP) -> Mo
     t = m.table
     # Hom law, row x: (t[op_s[x][y]])_y == (op_t[t[x]][t[y]])_y.
     pick = itemgetter(*t)
-    if all(g(t) == pick(op_t[v]) for g, v in zip(src.row_getters, t)):
-        # With the hom law, op_t[t[x]][t[y]] = t[op_s[x][y]], so the O-map
-        # law asks every cone value of op_s to lie in the kernel.
-        if not src.cone_values_mask & ~kernel_mask(m):
-            return MorphismClass(is_hom=True, is_omap=True)
+    is_hom = all(g(t) == pick(op_t[v]) for g, v in zip(src.row_getters, t))
+    # With the hom law, op_t[t[x]][t[y]] = t[op_s[x][y]], so the O-map
+    # law asks every cone value of op_s to lie in the kernel.
+    if is_hom and not src.cone_values_mask & ~kernel_mask(m):
+        return MorphismClass(is_hom=True, is_omap=True)
     cone_s = src.order[src.unit]
     cone_t = dst.order[dst.unit]
+    is_omap = True
     hom_w: list[tuple[int, int]] = []
     omap_w: list[tuple[int, int]] = []
     for x in range(src.n):
@@ -112,10 +113,12 @@ def classify(m: Mapping, *, witness_cap: int | None = DEFAULT_WITNESS_CAP) -> Mo
             w = op_t[t[x]][t[y]]
             if t[v] != w and (witness_cap is None or len(hom_w) < witness_cap):
                 hom_w.append((x, y))
-            if cone_s[v] and not cone_t[w] and (witness_cap is None or len(omap_w) < witness_cap):
-                omap_w.append((x, y))
+            if cone_s[v] and not cone_t[w]:
+                is_omap = False
+                if witness_cap is None or len(omap_w) < witness_cap:
+                    omap_w.append((x, y))
     return MorphismClass(
-        is_hom=not hom_w, is_omap=not omap_w,
+        is_hom=is_hom, is_omap=is_omap,
         hom_witnesses=tuple(hom_w), omap_witnesses=tuple(omap_w),
     )
 

@@ -91,7 +91,8 @@ def direct_product(x1: RawStructure, x2: RawStructure, *,
         r = check_axiom(combined, axiom, witness_cap=witness_cap)
         truncated = truncated or r.truncated
         witnesses.extend((axiom, *w) for w in r.witnesses)
-    report = CheckReport("direct-product-obci", holds=not witnesses,
+    report = CheckReport("direct-product-obci",
+                         holds=not witnesses and not truncated,
                          witnesses=tuple(witnesses), truncated=truncated)
     return product, report
 

@@ -1,25 +1,97 @@
-"""Backend selection for the enumeration scan.
+"""The enumeration scan: a backtracking search over operation tables.
 
-The compiled kernel is optional; the pure-Python twin is always present.
-`valid_tables` is the active backend, `valid_tables_py` always the pure
-one, and `valid_tables_fast` is None when the extension is unavailable.
+Every operation table / cone pair on {0..n-1} with the unit fixed at 0
+is a candidate: the unit row is forced to the identity and the relation
+is taken as cone-generated, so the linking axiom holds by construction.
+For each cone mask (ascending, bit 0 always set) the non-unit cells are
+filled in row-major order, each trying its values in ascending order, so
+the surviving tables come out in row-major lexicographic order.  A
+partial table is dropped as soon as an axiom instance whose cells are
+all assigned fails; at a leaf every cell is assigned and the same check
+is the full check of the six axioms.  This is the finite-model search of
+SEM and Mace4, without their propagation.
 """
 
 from __future__ import annotations
 
 from .core import BudgetError
-from . import _pyscan
 
-try:
-    from . import _fastscan
-except ImportError:
-    _fastscan = None
 
-BACKEND = "python" if _fastscan is None else "cython"
+def _fails(rng: range, op: list[list], cone: list[bool]) -> bool:
+    """True when an axiom instance reading only assigned cells fails.
 
-valid_tables_py = _pyscan.valid_tables
-valid_tables_fast = None if _fastscan is None else _fastscan.valid_tables
-valid_tables = valid_tables_py if _fastscan is None else _fastscan.valid_tables
+    Unassigned cells hold None.  "unit <= w" is cone[w], and "unit <= x"
+    is cone[x] because the unit row is the identity.
+    """
+    for x in rng:
+        v = op[x][x]
+        if v is not None and not cone[v]:                  # x <= x
+            return True
+    for x in rng:
+        row_x = op[x]
+        for y in rng:
+            v = row_x[y]
+            if v is None:
+                continue
+            if cone[v]:
+                if x != y:                                 # antisymmetry
+                    w = op[y][x]
+                    if w is not None and cone[w]:
+                        return True
+                if cone[x] and not cone[y]:                # cone upward closure
+                    return True
+            w = op[v][y]
+            if w is not None:                              # x <= (x->y)->y
+                w = row_x[w]
+                if w is not None and not cone[w]:
+                    return True
+    for x in rng:
+        row_x = op[x]
+        for y in rng:
+            v = row_x[y]
+            if v is None:
+                continue
+            a = op[v]
+            row_y = op[y]
+            for z in rng:
+                # (x->y) <= (y->z)->(x->z)
+                p, q = row_y[z], row_x[z]
+                if p is None or q is None:
+                    continue
+                w = op[p][q]
+                if w is not None:
+                    w = a[w]
+                    if w is not None and not cone[w]:
+                        return True
+    return False
+
+
+def valid_tables(n: int) -> list[tuple[tuple[int, ...], int]]:
+    """All (flat op table, cone mask) pairs passing the axioms, in scan order."""
+    if n < 1:
+        raise ValueError("carrier size must be at least 1")
+    rng = range(n)
+    cells = [(i, j) for i in range(1, n) for j in rng]
+    results: list[tuple[tuple[int, ...], int]] = []
+    for cone_bits in range(1 << (n - 1)):
+        cone_mask = (cone_bits << 1) | 1
+        cone = [bool(cone_mask >> i & 1) for i in rng]
+        op = [list(rng)] + [[None] * n for _ in range(n - 1)]
+
+        def fill(k: int) -> None:
+            if _fails(rng, op, cone):
+                return
+            if k == len(cells):
+                results.append((tuple(v for row in op for v in row), cone_mask))
+                return
+            i, j = cells[k]
+            for v in rng:
+                op[i][j] = v
+                fill(k + 1)
+            op[i][j] = None
+
+        fill(0)
+    return results
 
 
 def candidate_count(n: int) -> int:

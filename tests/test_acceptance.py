@@ -177,8 +177,15 @@ def test_criterion_3_separating_examples():
                     and ident.is_hom and not ident.is_omap
                     and ident.omap_witnesses == tuple(raw_ident))
 
+    # The names are those the enumeration gives the two isomorphism classes.
+    enumerated = {a.name: a.structure for a in enumerate_obci(4, up_to_iso=True)}
+    names_pinned = all(
+        (enumerated[s.name].op, enumerated[s.name].order) == (s.op, s.order)
+        for s in (n4_31, n4_30))
+
     ident_labels = [_labels(n4_31, w) for w in raw_ident]
-    _verdict(3, "separating-examples", omap_not_hom and swap_refuted and hom_not_omap,
+    _verdict(3, "separating-examples",
+             omap_not_hom and swap_refuted and hom_not_omap and names_pinned,
              f"O-map-not-hom diamond-to-chain at (d,e); stated hom mid3-swap "
              f"refuted at {swap_labels}; hom-not-O-map none below size 4, "
              f"identity n4-31 -> n4-30 at {ident_labels}")
@@ -192,6 +199,11 @@ def test_criterion_3_separating_examples():
         f"expected no hom-not-O-map below size 4 (found {below_4}) and the "
         f"identity n4-31 -> n4-30 as one at (e,a) (axioms valid: {valid}, "
         f"computed: {ident}, raw O-map witnesses {ident_labels})"
+    )
+    assert names_pinned, (
+        "expected enumerate_obci(4, up_to_iso=True) to name the two cones of "
+        "the table e a b c / b e b c / c c c c / b b b c n4-31 ({e,a,c}) and "
+        "n4-30 ({e,c})"
     )
 
 

@@ -30,6 +30,15 @@ def test_validate_invalid_fixture_emits_finding(capsys):
     assert "FINDING: mid3 valid" in out
 
 
+def test_validate_witness_cap_zero_still_reports_failures(capsys):
+    rc, out, err = run(capsys, "--witness-cap", "0", "--format", "machine",
+                       "validate", "fixture:mid3")
+    assert (rc, err) == (1, "")
+    for axiom in ("OBCI-1", "OBCI-2", "OBCI-3", "OBCI-5"):
+        assert f"LAW {axiom} FAIL +more" in out
+    assert "AXIOMS 2/6" in out
+
+
 def test_validate_machine_format_is_stable(capsys):
     rc1, out1, _ = run(capsys, "--format", "machine", "validate", "fixture:chain4")
     rc2, out2, _ = run(capsys, "--format", "machine", "validate", "fixture:chain4")

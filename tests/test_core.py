@@ -109,6 +109,24 @@ def test_witness_cap_truncates():
     assert not check_axiom(exy, "OBCI-1", witness_cap=2).truncated
 
 
+@pytest.mark.parametrize("cap", [None, 0, 1])
+def test_collect_caps_on_empty_and_nonempty_streams(cap):
+    empty = CheckReport.collect("law", iter(()), cap)
+    assert (empty.holds, empty.witnesses, empty.truncated) == (True, (), False)
+    one = CheckReport.collect("law", iter([(0,)]), cap)
+    two = CheckReport.collect("law", iter([(0,), (1,)]), cap)
+    assert not one.holds and not two.holds
+    if cap is None:
+        assert (one.witnesses, one.truncated) == (((0,),), False)
+        assert (two.witnesses, two.truncated) == (((0,), (1,)), False)
+    elif cap == 0:
+        assert (one.witnesses, one.truncated) == ((), True)
+        assert (two.witnesses, two.truncated) == ((), True)
+    else:
+        assert (one.witnesses, one.truncated) == (((0,),), False)
+        assert (two.witnesses, two.truncated) == (((0,),), True)
+
+
 def test_order_from_cone_reproduces_exy_relation():
     assert order_from_cone(exy.op, exy.unit, (0,)) == exy.order
 

@@ -35,8 +35,6 @@ def test_enumeration_counts_up_to_iso():
     assert len(list(enumerate_obci(3, up_to_iso=True))) == 6
 
 
-@pytest.mark.skipif(scan.valid_tables_fast is None,
-                    reason="compiled backend not built")
 def test_enumeration_counts_size_four():
     assert sum(1 for _ in enumerate_obci(4)) == 167
     assert sum(1 for _ in enumerate_obci(4, up_to_iso=True)) == 33

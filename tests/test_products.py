@@ -69,6 +69,8 @@ def test_product_with_raw_fixture_reports_failure():
     product, report = direct_product(exy, mid3)
     assert not report.holds
     assert any(w[0] == "OBCI-5" for w in report.witnesses)
+    _, capped = direct_product(exy, mid3, witness_cap=0)
+    assert (capped.holds, capped.witnesses, capped.truncated) == (False, (), True)
 
 
 def test_product_budget():
