@@ -37,7 +37,7 @@ from .core import (
 )
 from .fileio import ParseError, load_algebra, load_map, serialize_algebra
 from .fixtures import Finding
-from .morphisms import Mapping, classify, kernel, kernel_alt
+from .morphisms import Mapping, MorphismClass, classify, kernel, kernel_alt
 from .products import direct_product, pair_map
 from .substructures import CHECKS as substructure_checks
 from .substructures import SubstructureKind, enumerate_substructures
@@ -134,7 +134,8 @@ def _emit_findings(out: _Out, subject_obj, topics: tuple[str, ...]) -> None:
 
 # --- subcommands ------------------------------------------------------------
 
-def _cmd_validate(args, out: _Out) -> int:
+def _cmd_axioms(args, out: _Out) -> int:
+    """`axioms` prints the six reports; `validate` adds the count and the cone."""
     original = _load_algebra_arg(args.file)
     s = original
     if args.closure:
@@ -145,27 +146,14 @@ def _cmd_validate(args, out: _Out) -> int:
     for r in reports:
         out.law(r, s.labels)
     good = sum(r.holds for r in reports)
-    out.note(f"{good}/6 axioms hold", f"AXIOMS {good}/6")
-    result = validate(s, witness_cap=args.witness_cap)
+    result = None
+    if args.command == "validate":
+        out.note(f"{good}/6 axioms hold", f"AXIOMS {good}/6")
+        result = validate(s, witness_cap=args.witness_cap)
     _emit_findings(out, original, ("valid",))
     if isinstance(result, ValidatedAlgebra):
         out.note(f"cone: {_fmt_set(result.cone)}", f"CONE {_fmt_set(result.cone)}")
-        return 0
-    return 1
-
-
-def _cmd_axioms(args, out: _Out) -> int:
-    original = _load_algebra_arg(args.file)
-    s = original
-    if args.closure:
-        s = reflexive_transitive_closure(s)
-        out.note("note: relation closed reflexively/transitively before checking",
-                 "NOTE closure-applied")
-    reports = axiom_reports(s, witness_cap=args.witness_cap)
-    for r in reports:
-        out.law(r, s.labels)
-    _emit_findings(out, original, ("valid",))
-    return 0 if all(r.holds for r in reports) else 1
+    return 0 if good == len(reports) else 1
 
 
 def _parse_set(s: RawStructure, set_text: str) -> Subset:
@@ -198,15 +186,21 @@ def _cmd_enumerate_substructures(args, out: _Out) -> int:
     return 0
 
 
-def _cmd_classify(args, out: _Out) -> int:
-    m = _load_map_arg(args.mapfile, args.src, args.dst)
-    cls = classify(m, witness_cap=args.witness_cap)
-    out.law(CheckReport("homomorphism", cls.is_hom, cls.hom_witnesses), m.source.labels)
-    out.law(CheckReport("o-map", cls.is_omap, cls.omap_witnesses), m.source.labels)
+def _print_classification(out: _Out, m: Mapping, witness_cap) -> MorphismClass:
+    """Print both morphism laws of `m` and its class line."""
+    cls = classify(m, witness_cap=witness_cap)
+    out.law(cls.hom, m.source.labels)
+    out.law(cls.omap, m.source.labels)
     word = "yes" if cls.is_ohom else "no"
     out.note(f"o-homomorphism: {word}",
              f"CLASS hom={'yes' if cls.is_hom else 'no'} "
              f"omap={'yes' if cls.is_omap else 'no'} ohom={word}")
+    return cls
+
+
+def _cmd_classify(args, out: _Out) -> int:
+    m = _load_map_arg(args.mapfile, args.src, args.dst)
+    cls = _print_classification(out, m, args.witness_cap)
     _emit_findings(out, m, ("classify",))
     return 0 if cls.is_ohom else 1
 
@@ -246,14 +240,7 @@ def _cmd_pair_map(args, out: _Out) -> int:
         raise ParseError(
             "pair-map takes two fixture maps, or two map files followed by "
             "four algebra files (src1 dst1 src2 dst2)", "pair-map")
-    pm = pair_map(f1, f2)
-    cls = classify(pm, witness_cap=args.witness_cap)
-    out.law(CheckReport("homomorphism", cls.is_hom, cls.hom_witnesses), pm.source.labels)
-    out.law(CheckReport("o-map", cls.is_omap, cls.omap_witnesses), pm.source.labels)
-    word = "yes" if cls.is_ohom else "no"
-    out.note(f"o-homomorphism: {word}",
-             f"CLASS hom={'yes' if cls.is_hom else 'no'} "
-             f"omap={'yes' if cls.is_omap else 'no'} ohom={word}")
+    cls = _print_classification(out, pair_map(f1, f2), args.witness_cap)
     return 0 if cls.is_ohom else 1
 
 
@@ -274,8 +261,6 @@ def _cmd_verify(args, out: _Out) -> int:
         claims = (args.claim,)
     else:
         raise ParseError(f"unknown claim id {args.claim!r}; see 'verify all'", "verify")
-    if args.jobs < 1:
-        raise ParseError(f"--jobs must be at least 1, got {args.jobs}", "verify")
     scope = {"fixtures": True} if args.fixtures else {"sizes": tuple(range(1, args.size + 1))}
     reports = harness.verify_all(claims, witness_cap=args.witness_cap,
                                  jobs=args.jobs, **scope)
@@ -351,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--closure", action="store_true",
                    help="close the relation reflexively/transitively first")
-    p.set_defaults(func=_cmd_validate)
+    p.set_defaults(func=_cmd_axioms)
 
     p = sub.add_parser("axioms", help="report each axiom separately")
     p.add_argument("file")
@@ -430,6 +415,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The least value of each numeric argument, by argparse dest.
+_MINIMUM = {"witness_cap": ("--witness-cap", 0), "jobs": ("--jobs", 1),
+            "size": ("--size", 1), "n": ("n", 1)}
+
+
+def _check_ranges(args) -> None:
+    for dest, (name, least) in _MINIMUM.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < least:
+            raise ParseError(f"{name} must be at least {least}, got {value}", args.command)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -437,6 +434,7 @@ def main(argv=None) -> int:
         args.witness_cap = None
     out = _Out(machine=args.format == "machine")
     try:
+        _check_ranges(args)
         return args.func(args, out)
     except PreconditionError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)

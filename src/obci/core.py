@@ -9,30 +9,23 @@ wraps the structure as a ValidatedAlgebra together with its positive cone
 {z : unit <= z}.  By the linking axiom (OBCI-5) the cone determines the
 whole relation: i <= j iff op[i][j] lies in the cone.
 
+The laws are data: AXIOMS, IDENTITIES and ORDER_LAWS map each law id to
+its arity and a predicate that is true where the law is violated, and one
+generator runs a law over all instantiations in itertools.product order.
 Every check returns a CheckReport whose witnesses are the violating
-instantiations in lexicographic order, exhaustive up to a caller-set cap.
+instantiations in that (lexicographic) order, exhaustive up to a
+caller-set cap; `CheckReport.collect` is the one place a cap is applied.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 DEFAULT_WITNESS_CAP = 32
-
-AXIOM_IDS = ("OBCI-1", "OBCI-2", "OBCI-3", "OBCI-4", "OBCI-5", "OBCI-6")
-
-IDENTITY_IDS = (
-    "unit-identity",
-    "exchange",
-    "antitonicity",
-    "cone-transitivity",
-    "prefixing",
-    "isotonicity",
-)
 
 
 class StructureError(ValueError):
@@ -78,15 +71,27 @@ class CheckReport:
     @classmethod
     def collect(cls, law: str, violations: Iterable[tuple],
                 cap: int | None = DEFAULT_WITNESS_CAP) -> "CheckReport":
-        ws: list[tuple] = []
-        truncated = False
-        for w in violations:
-            if cap is not None and len(ws) >= cap:
-                truncated = True
-                break
-            ws.append(tuple(w))
-        return cls(law, holds=not ws and not truncated, witnesses=tuple(ws),
-                   truncated=truncated)
+        """The report of a law from its violations, listing at most `cap`.
+
+        The only place a witness cap is applied; a negative cap is refused.
+        """
+        if cap is None:
+            ws = tuple(violations)
+            return cls(law, not ws, ws)
+        if cap < 0:
+            raise ValueError(f"witness cap must be at least 0, got {cap}")
+        it = iter(violations)
+        ws = tuple(itertools.islice(it, cap))
+        truncated = len(ws) == cap and next(it, None) is not None
+        return cls(law, not ws and not truncated, ws, truncated)
+
+    @classmethod
+    def merged(cls, law: str, reports: Iterable["CheckReport"]) -> "CheckReport":
+        """One report for several laws; each witness is prefixed with its law."""
+        reports = tuple(reports)
+        return cls(law, holds=all(r.holds for r in reports),
+                   witnesses=tuple((r.law, *w) for r in reports for w in r.witnesses),
+                   truncated=any(r.truncated for r in reports))
 
     def relabeled(self, law: str) -> "CheckReport":
         return replace(self, law=law)
@@ -270,57 +275,90 @@ class ValidatedAlgebra:
         return self.structure.unit
 
 
-# --- axiom evaluation ------------------------------------------------------
+# --- laws as data ------------------------------------------------------------
 #
-# Statements of the form "unit <= w" are looked up in the stored relation
-# (row of the unit), never recomputed through the cone, so structures that
+# A law is its arity and a predicate that is true where the law is violated.
+# The predicate reads the operation table, the stored relation, the stored
+# cone (the unit's row of the relation) and the unit, then one
+# instantiation.  Statements of the form "unit <= w" are looked up in the
+# stored relation, never recomputed through the cone, so structures that
 # break the linking axiom are probed exactly as written.
 
-_AXIOM_ARITY = {
-    "OBCI-1": 3,
-    "OBCI-2": 2,
-    "OBCI-3": 1,
-    "OBCI-4": 2,
-    "OBCI-5": 2,
-    "OBCI-6": 2,
+
+class Law(NamedTuple):
+    arity: int
+    violated: Callable[..., bool]
+
+
+AXIOMS: dict[str, Law] = {
+    "OBCI-1": Law(3, lambda op, order, cone, e, x, y, z:
+                  not cone[op[op[x][y]][op[op[y][z]][op[x][z]]]]),
+    "OBCI-2": Law(2, lambda op, order, cone, e, x, y: not cone[op[x][op[op[x][y]][y]]]),
+    "OBCI-3": Law(1, lambda op, order, cone, e, x: not cone[op[x][x]]),
+    "OBCI-4": Law(2, lambda op, order, cone, e, x, y:
+                  cone[op[x][y]] and cone[op[y][x]] and x != y),
+    "OBCI-5": Law(2, lambda op, order, cone, e, x, y: order[x][y] != cone[op[x][y]]),
+    "OBCI-6": Law(2, lambda op, order, cone, e, x, y:
+                  cone[x] and order[x][y] and not cone[y]),
 }
+
+IDENTITIES: dict[str, Law] = {
+    "unit-identity": Law(1, lambda op, order, cone, e, x: op[e][x] != x),
+    "exchange": Law(3, lambda op, order, cone, e, x, y, z:
+                    op[z][op[y][x]] != op[y][op[z][x]]),
+    "antitonicity": Law(3, lambda op, order, cone, e, x, y, z:
+                        cone[op[x][y]] and not cone[op[op[y][z]][op[x][z]]]),
+    "cone-transitivity": Law(3, lambda op, order, cone, e, x, y, z:
+                             cone[op[x][y]] and cone[op[y][z]] and not cone[op[x][z]]),
+    "prefixing": Law(3, lambda op, order, cone, e, x, y, z:
+                     not cone[op[op[y][z]][op[op[x][y]][op[x][z]]]]),
+    "isotonicity": Law(3, lambda op, order, cone, e, x, y, z:
+                       cone[op[x][y]] and not cone[op[op[z][x]][op[z][y]]]),
+}
+
+ORDER_LAWS: dict[str, Law] = {
+    "order-reflexive": Law(1, lambda op, order, cone, e, x: not order[x][x]),
+    "order-antisymmetric": Law(2, lambda op, order, cone, e, x, y:
+                               x != y and order[x][y] and order[y][x]),
+    "order-transitive": Law(3, lambda op, order, cone, e, x, y, z:
+                            order[x][y] and order[y][z] and not order[x][z]),
+}
+
+AXIOM_IDS = tuple(AXIOMS)
+
+IDENTITY_IDS = tuple(IDENTITIES)
+
+
+def _bound(s: RawStructure, law: Law) -> Callable[..., bool]:
+    """The law's predicate with the structure's tables filled in."""
+    return partial(law.violated, s.op, s.order, s.order[s.unit], s.unit)
+
+
+def _violations(s: RawStructure, law: Law) -> Iterator[tuple[int, ...]]:
+    """The instantiations violating `law`, in itertools.product order."""
+    insts = partial(itertools.product, range(s.n), repeat=law.arity)
+    return itertools.compress(insts(), itertools.starmap(_bound(s, law), insts()))
+
+
+def _law_reports(s: RawStructure, laws: dict[str, Law],
+                witness_cap: int | None = DEFAULT_WITNESS_CAP) -> list[CheckReport]:
+    return [CheckReport.collect(name, _violations(s, law), witness_cap)
+            for name, law in laws.items()]
 
 
 def axiom_violated_at(s: RawStructure, axiom: str, inst: tuple[int, ...]) -> bool:
     """Re-evaluate one axiom at a single instantiation (True = violated)."""
-    op = s.op
-    order = s.order
-    cone = order[s.unit]
-    if axiom == "OBCI-1":
-        x, y, z = inst
-        return not cone[op[op[x][y]][op[op[y][z]][op[x][z]]]]
-    if axiom == "OBCI-2":
-        x, y = inst
-        return not cone[op[x][op[op[x][y]][y]]]
-    if axiom == "OBCI-3":
-        (x,) = inst
-        return not cone[op[x][x]]
-    if axiom == "OBCI-4":
-        x, y = inst
-        return cone[op[x][y]] and cone[op[y][x]] and x != y
-    if axiom == "OBCI-5":
-        x, y = inst
-        return order[x][y] != cone[op[x][y]]
-    if axiom == "OBCI-6":
-        x, y = inst
-        return cone[x] and order[x][y] and not cone[y]
-    raise ValueError(f"unknown axiom id {axiom!r}")
+    return _bound(s, AXIOMS[axiom])(*inst)
 
+
+# --- axiom evaluation ------------------------------------------------------
 
 def check_axiom(s: RawStructure, axiom: str, *,
                 witness_cap: int | None = DEFAULT_WITNESS_CAP) -> CheckReport:
     """Exhaustively check one axiom; witnesses are the violating tuples."""
-    if axiom not in _AXIOM_ARITY:
+    if axiom not in AXIOMS:
         raise ValueError(f"unknown axiom id {axiom!r}")
-    insts = itertools.product(range(s.n), repeat=_AXIOM_ARITY[axiom])
-    return CheckReport.collect(
-        axiom, (t for t in insts if axiom_violated_at(s, axiom, t)), witness_cap
-    )
+    return CheckReport.collect(axiom, _violations(s, AXIOMS[axiom]), witness_cap)
 
 
 def axiom_reports(s: RawStructure, *,
@@ -345,50 +383,9 @@ def validate(s: RawStructure, *,
 
 # --- derived identities ----------------------------------------------------
 
-_IDENTITY_ARITY = {
-    "unit-identity": 1,
-    "exchange": 3,
-    "antitonicity": 3,
-    "cone-transitivity": 3,
-    "prefixing": 3,
-    "isotonicity": 3,
-}
-
-
-def identity_violated_at(s: RawStructure, ident: str, inst: tuple[int, ...]) -> bool:
-    op = s.op
-    cone = s.order[s.unit]
-    if ident == "unit-identity":
-        (x,) = inst
-        return op[s.unit][x] != x
-    if ident == "exchange":
-        x, y, z = inst
-        return op[z][op[y][x]] != op[y][op[z][x]]
-    if ident == "antitonicity":
-        x, y, z = inst
-        return cone[op[x][y]] and not cone[op[op[y][z]][op[x][z]]]
-    if ident == "cone-transitivity":
-        x, y, z = inst
-        return cone[op[x][y]] and cone[op[y][z]] and not cone[op[x][z]]
-    if ident == "prefixing":
-        x, y, z = inst
-        return not cone[op[op[y][z]][op[op[x][y]][op[x][z]]]]
-    if ident == "isotonicity":
-        x, y, z = inst
-        return cone[op[x][y]] and not cone[op[op[z][x]][op[z][y]]]
-    raise ValueError(f"unknown identity id {ident!r}")
-
-
 def derived_identity_reports(a: ValidatedAlgebra, *,
                              witness_cap: int | None = DEFAULT_WITNESS_CAP) -> list[CheckReport]:
-    s = a.structure
-    out = []
-    for ident in IDENTITY_IDS:
-        insts = itertools.product(range(s.n), repeat=_IDENTITY_ARITY[ident])
-        out.append(CheckReport.collect(
-            ident, (t for t in insts if identity_violated_at(s, ident, t)), witness_cap
-        ))
-    return out
+    return _law_reports(a.structure, IDENTITIES, witness_cap)
 
 
 def check_derived_identities(a: ValidatedAlgebra, *,
@@ -397,13 +394,8 @@ def check_derived_identities(a: ValidatedAlgebra, *,
 
     Witness tuples are prefixed with the violated identity's id.
     """
-    merged: list[tuple] = []
-    truncated = False
-    for r in derived_identity_reports(a, witness_cap=witness_cap):
-        truncated = truncated or r.truncated
-        merged.extend((r.law, *w) for w in r.witnesses)
-    return CheckReport("derived-identities", holds=not merged and not truncated,
-                       witnesses=tuple(merged), truncated=truncated)
+    return CheckReport.merged("derived-identities",
+                              derived_identity_reports(a, witness_cap=witness_cap))
 
 
 # --- the cone view of the relation -----------------------------------------
@@ -453,15 +445,4 @@ def reflexive_transitive_closure(s: RawStructure) -> RawStructure:
 def relation_reports(s: RawStructure, *,
                      witness_cap: int | None = DEFAULT_WITNESS_CAP) -> list[CheckReport]:
     """Reflexivity, antisymmetry, transitivity of the stored relation."""
-    n = s.n
-    order = s.order
-    refl = ((i,) for i in range(n) if not order[i][i])
-    anti = ((i, j) for i in range(n) for j in range(n)
-            if i != j and order[i][j] and order[j][i])
-    trans = ((i, j, k) for i in range(n) for j in range(n) for k in range(n)
-             if order[i][j] and order[j][k] and not order[i][k])
-    return [
-        CheckReport.collect("order-reflexive", refl, witness_cap),
-        CheckReport.collect("order-antisymmetric", anti, witness_cap),
-        CheckReport.collect("order-transitive", trans, witness_cap),
-    ]
+    return _law_reports(s, ORDER_LAWS, witness_cap)

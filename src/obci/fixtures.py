@@ -150,10 +150,10 @@ def _audit_classify(name: str, stated: tuple[bool, bool]) -> Finding | None:
     if (cls.is_hom, cls.is_omap) == stated:
         return None
     witnesses = []
-    if cls.is_hom != stated[0] and cls.hom_witnesses:
-        witnesses.append(("hom", *_labels(m.source, cls.hom_witnesses[0])))
-    if cls.is_omap != stated[1] and cls.omap_witnesses:
-        witnesses.append(("omap", *_labels(m.source, cls.omap_witnesses[0])))
+    if cls.is_hom != stated[0] and cls.hom.witnesses:
+        witnesses.append(("hom", *_labels(m.source, cls.hom.witnesses[0])))
+    if cls.is_omap != stated[1] and cls.omap.witnesses:
+        witnesses.append(("omap", *_labels(m.source, cls.omap.witnesses[0])))
 
     def word(pair):
         return f"hom={'yes' if pair[0] else 'no'},omap={'yes' if pair[1] else 'no'}"

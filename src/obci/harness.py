@@ -555,7 +555,7 @@ def _bijection(kind, *, in_cone=False):
 
 def _pairmap_ohom(p: _OhomPair, cap):
     cls = classify(p.pm, witness_cap=cap)
-    return [((), (cls.hom_witnesses or cls.omap_witnesses)[0])] if not cls.is_ohom else ()
+    return [((), (cls.hom.witnesses or cls.omap.witnesses)[0])] if not cls.is_ohom else ()
 
 
 def _product_kernel(p: _OhomPair, cap):
@@ -805,9 +805,9 @@ def find_counterexample(query: str, *, sizes=None, fixtures=None,
         pool = _pool_for(sizes, fixtures, up_to_iso=up_to_iso)
         for _, _, m, cls in pool.maps():
             if query == "hom-not-omap" and cls.is_hom and not cls.is_omap:
-                return Counterexample(_ctx(m), cls.omap_witnesses[0])
+                return Counterexample(_ctx(m), cls.omap.witnesses[0])
             if query == "omap-not-hom" and cls.is_omap and not cls.is_hom:
-                return Counterexample(_ctx(m), cls.hom_witnesses[0])
+                return Counterexample(_ctx(m), cls.hom.witnesses[0])
         return None
     if query in CLAIM_IDS:
         report = verify_claim(query, sizes=sizes, fixtures=fixtures,

@@ -3,7 +3,9 @@
 A mapping is classified against two laws: the homomorphism law
 kappa(x->y) = kappa(x)->kappa(y), and the order-map (O-map) law
 unit_X <= x->y  implies  unit_Y <= kappa(x)->kappa(y).  A map satisfying
-both is an O-homomorphism.  Kernels are defined for arbitrary mappings:
+both is an O-homomorphism.  `classify` returns a MorphismClass holding one
+CheckReport per law, its witnesses the failing pairs (x, y) cut at the cap
+by `CheckReport.collect`.  Kernels are defined for arbitrary mappings:
 ker(kappa) = {x : unit_Y <= kappa(x)} under the target's stored relation.
 """
 
@@ -66,16 +68,25 @@ class Mapping:
 
 @dataclass(frozen=True)
 class MorphismClass:
-    """Verdicts for the two morphism laws with exhaustive witnesses."""
+    """The reports of the two morphism laws, witnesses (x, y) in scan order."""
 
-    is_hom: bool
-    is_omap: bool
-    hom_witnesses: tuple[tuple[int, int], ...] = ()
-    omap_witnesses: tuple[tuple[int, int], ...] = ()
+    hom: CheckReport
+    omap: CheckReport
+
+    @property
+    def is_hom(self) -> bool:
+        return self.hom.holds
+
+    @property
+    def is_omap(self) -> bool:
+        return self.omap.holds
 
     @property
     def is_ohom(self) -> bool:
-        return self.is_hom and self.is_omap
+        return self.hom.holds and self.omap.holds
+
+
+_OHOM = MorphismClass(CheckReport("homomorphism", True), CheckReport("o-map", True))
 
 
 def identity_map(a: RawStructure, name: str = "") -> Mapping:
@@ -101,26 +112,21 @@ def classify(m: Mapping, *, witness_cap: int | None = DEFAULT_WITNESS_CAP) -> Mo
     # With the hom law, op_t[t[x]][t[y]] = t[op_s[x][y]], so the O-map
     # law asks every cone value of op_s to lie in the kernel.
     if is_hom and not src.cone_values_mask & ~kernel_mask(m):
-        return MorphismClass(is_hom=True, is_omap=True)
+        return _OHOM
     cone_s = src.order[src.unit]
     cone_t = dst.order[dst.unit]
-    is_omap = True
     hom_w: list[tuple[int, int]] = []
     omap_w: list[tuple[int, int]] = []
     for x in range(src.n):
         for y in range(src.n):
             v = op_s[x][y]
             w = op_t[t[x]][t[y]]
-            if t[v] != w and (witness_cap is None or len(hom_w) < witness_cap):
+            if t[v] != w:
                 hom_w.append((x, y))
             if cone_s[v] and not cone_t[w]:
-                is_omap = False
-                if witness_cap is None or len(omap_w) < witness_cap:
-                    omap_w.append((x, y))
-    return MorphismClass(
-        is_hom=is_hom, is_omap=is_omap,
-        hom_witnesses=tuple(hom_w), omap_witnesses=tuple(omap_w),
-    )
+                omap_w.append((x, y))
+    return MorphismClass(CheckReport.collect("homomorphism", hom_w, witness_cap),
+                         CheckReport.collect("o-map", omap_w, witness_cap))
 
 
 def _require_ohom(m: Mapping, what: str) -> MorphismClass:

@@ -19,14 +19,13 @@ from dataclasses import dataclass
 
 from .core import (
     DEFAULT_WITNESS_CAP,
-    AXIOM_IDS,
     BudgetError,
     CheckReport,
     RawStructure,
     ShapeError,
     Subset,
     UniverseMismatchError,
-    check_axiom,
+    axiom_reports,
 )
 from .morphisms import Mapping, kernel, kernel_mask
 
@@ -85,15 +84,8 @@ def direct_product(x1: RawStructure, x2: RawStructure, *,
         )
     combined = product_structure(x1, x2)
     product = ProductAlgebra(x1, x2, combined)
-    witnesses: list[tuple] = []
-    truncated = False
-    for axiom in AXIOM_IDS:
-        r = check_axiom(combined, axiom, witness_cap=witness_cap)
-        truncated = truncated or r.truncated
-        witnesses.extend((axiom, *w) for w in r.witnesses)
-    report = CheckReport("direct-product-obci",
-                         holds=not witnesses and not truncated,
-                         witnesses=tuple(witnesses), truncated=truncated)
+    report = CheckReport.merged("direct-product-obci",
+                                axiom_reports(combined, witness_cap=witness_cap))
     return product, report
 
 

@@ -154,7 +154,7 @@ def test_criterion_3_separating_examples():
     finding = next(f for f in fx.audit()
                    if (f.subject, f.topic) == ("mid3-swap", "classify"))
     swap_refuted = (not swap.is_hom and not swap.is_omap
-                    and swap.hom_witnesses == tuple(raw_swap)
+                    and swap.hom.witnesses == tuple(raw_swap)
                     and swap_labels == [("1", "1"), ("0", "0")]
                     and finding.stated == "hom=yes,omap=no"
                     and finding.computed == "hom=no,omap=no"
@@ -175,7 +175,7 @@ def test_criterion_3_separating_examples():
                     and _hom_violations(ident_map) == []
                     and raw_ident == [(0, 1)]
                     and ident.is_hom and not ident.is_omap
-                    and ident.omap_witnesses == tuple(raw_ident))
+                    and ident.omap.witnesses == tuple(raw_ident))
 
     # The names are those the enumeration gives the two isomorphism classes.
     enumerated = {a.name: a.structure for a in enumerate_obci(4, up_to_iso=True)}

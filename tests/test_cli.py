@@ -226,6 +226,36 @@ def test_substructure_commands_are_pinned_on_every_fixture(capsys):
     assert _substructure_transcript(capsys) == reference.read_text(encoding="utf-8")
 
 
+def _law_transcript(capsys) -> str:
+    """Every law-printing command on the fixtures at caps 0, 1 and the
+    default: arguments, exit code, stdout (only the LAW lines of
+    `product`, which also dumps the product algebra), stderr."""
+    algebras = [f"fixture:{name}" for name in fx.ALGEBRAS]
+    maps = [f"fixture:{name}" for name in fx.MAPS]
+    calls = [(cmd, *flag, a) for a in algebras
+             for cmd, *flag in (("validate",), ("validate", "--closure"), ("axioms",))]
+    calls += [(cmd, *flag, m) for m in maps
+              for cmd, *flag in (("classify",), ("kernel",), ("kernel", "--alt"))]
+    calls += [("pair-map", m1, m2) for m1 in maps for m2 in maps]
+    calls += [("product", a1, a2) for a1 in algebras for a2 in algebras]
+    parts = []
+    for cap in (("--witness-cap", "0"), ("--witness-cap", "1"), ()):
+        for argv in calls:
+            rc, out, err = run(capsys, "--format", "machine", *cap, *argv)
+            if argv[0] == "product":
+                out = "".join(l for l in out.splitlines(True) if l.startswith("LAW "))
+            parts.append(f"$ {' '.join((*cap, *argv))} -> {rc}\n{out}{err}")
+    return "".join(parts)
+
+
+def test_law_commands_are_pinned_on_every_fixture(capsys):
+    # recorded at commit f957832, before the laws became table entries; the
+    # only change since is " +more" on the 57 classify and pair-map LAW lines
+    # whose witness list is cut at the cap
+    reference = Path(__file__).parent / "data" / "law_commands.machine.txt"
+    assert _law_transcript(capsys) == reference.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_verify_jobs_below_one_is_a_usage_error(capsys, jobs):
     rc, out, err = run(capsys, "verify", "P-identities", "--size", "1",
@@ -233,6 +263,42 @@ def test_verify_jobs_below_one_is_a_usage_error(capsys, jobs):
     assert rc == 2
     assert out == ""
     assert "--jobs must be at least 1" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("enumerate", "0"), "enumerate: n must be at least 1, got 0"),
+    (("verify", "all", "--size", "0"), "verify: --size must be at least 1, got 0"),
+    (("verify", "all", "--size", "-1"), "verify: --size must be at least 1, got -1"),
+    (("search", "hom-not-omap", "--size", "0"), "search: --size must be at least 1, got 0"),
+    (("--witness-cap", "-1", "classify", "fixture:mid3-swap"),
+     "classify: --witness-cap must be at least 0, got -1"),
+])
+def test_out_of_range_numbers_are_usage_errors(capsys, argv, message):
+    # unchecked, these gave a traceback, a vacuous VERIFIED sweep,
+    # "RESULT none", and laws reading FAIL +more at a cap of -1
+    rc, out, err = run(capsys, "--format", "machine", *argv)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+# The first witness of each morphism law, by command.
+_FIRST_WITNESSES = {"classify": ("(1,1)", "(1,1/2)"),
+                    "pair-map": ("((1,e),(1,e))", "((1,e),(1/2,e))")}
+
+
+@pytest.mark.parametrize("fmt", ["machine", "text"])
+@pytest.mark.parametrize("cap", ["0", "1"])
+@pytest.mark.parametrize("argv", [("classify", "fixture:mid3-swap"),
+                                  ("pair-map", "fixture:mid3-swap", "fixture:exy-id")])
+def test_morphism_laws_cut_at_the_cap_end_in_more(capsys, fmt, cap, argv):
+    rc, out, _ = run(capsys, "--format", fmt, "--witness-cap", cap, *argv)
+    expected = []
+    for law, first in zip(("homomorphism", "o-map"), _FIRST_WITNESSES[argv[0]]):
+        if fmt == "machine":
+            expected.append(f"LAW {law} FAIL{'' if cap == '0' else ' ' + first} +more")
+        else:
+            expected.append(f"law {law}: VIOLATED{'' if cap == '0' else ' at ' + first} +more")
+    assert rc == 1
+    assert [l for l in out.splitlines() if l.lower().startswith("law ")] == expected
 
 
 def test_enumerate_command(capsys):

@@ -1,10 +1,12 @@
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from obci import (
     AXIOM_IDS,
+    IDENTITY_IDS,
     CheckReport,
     RawStructure,
     StructureError,
@@ -20,7 +22,7 @@ from obci import (
     relation_reports,
     validate,
 )
-from obci.core import axiom_violated_at, cone_generated
+from obci.core import AXIOMS, axiom_violated_at, cone_generated
 from obci import fixtures as fx
 
 exy = fx.ALGEBRAS["exy"]
@@ -88,14 +90,12 @@ def test_diamond_and_chain4_fail_only_linking_axiom():
 
 
 def test_axiom_witnesses_are_sound_and_exhaustive():
-    from obci.core import _AXIOM_ARITY
-
     for axiom in AXIOM_IDS:
         r = check_axiom(mid3, axiom, witness_cap=None)
         for w in r.witnesses:
             assert axiom_violated_at(mid3, axiom, w)
         everything = [
-            t for t in itertools.product(range(mid3.n), repeat=_AXIOM_ARITY[axiom])
+            t for t in itertools.product(range(mid3.n), repeat=AXIOMS[axiom].arity)
             if axiom_violated_at(mid3, axiom, t)
         ]
         assert list(r.witnesses) == everything
@@ -125,6 +125,71 @@ def test_collect_caps_on_empty_and_nonempty_streams(cap):
     else:
         assert (one.witnesses, one.truncated) == (((0,),), False)
         assert (two.witnesses, two.truncated) == (((0,),), True)
+
+
+def test_collect_refuses_a_negative_cap():
+    with pytest.raises(ValueError, match="witness cap must be at least 0, got -1"):
+        CheckReport.collect("law", iter([(0,)]), -1)
+
+
+def test_merged_tags_witnesses_and_keeps_verdict_and_truncation():
+    holds = CheckReport("a", holds=True)
+    cut = CheckReport("b", holds=False, witnesses=((0, 1),), truncated=True)
+    bare = CheckReport("c", holds=False, truncated=True)
+    assert CheckReport.merged("all", [holds]) == CheckReport("all", holds=True)
+    assert CheckReport.merged("all", [holds, cut, bare]) == CheckReport(
+        "all", holds=False, witnesses=(("b", 0, 1),), truncated=True)
+
+
+def _raw_structures_up_to_size_two():
+    """Every raw structure of size 1 and 2: op table, relation and unit."""
+    for n in (1, 2):
+        labels = tuple("ea"[:n])
+        for flat_op in itertools.product(range(n), repeat=n * n):
+            op = tuple(flat_op[r * n:(r + 1) * n] for r in range(n))
+            for flat_rel in itertools.product((False, True), repeat=n * n):
+                order = tuple(flat_rel[r * n:(r + 1) * n] for r in range(n))
+                for unit in range(n):
+                    yield RawStructure("raw", labels, op, unit, order)
+
+
+def _all_law_reports(s):
+    """The 15 laws on a raw structure, uncapped: axioms, identities, order."""
+    # the identities are evaluated on any structure, valid or not
+    unchecked = ValidatedAlgebra(s, Subset.from_indices(s, s.cone_members()))
+    return (axiom_reports(s, witness_cap=None)
+            + derived_identity_reports(unchecked, witness_cap=None)
+            + relation_reports(s, witness_cap=None))
+
+
+def _law_table():
+    """One line per raw structure of size <= 2: each law's witness count and
+    first witness; and per law, the number of structures it fails on."""
+    lines = []
+    failing = {}
+    for s in _raw_structures_up_to_size_two():
+        fields = ["op=" + "/".join("".join(map(str, row)) for row in s.op),
+                  "order=" + "/".join("".join("1" if v else "0" for v in row)
+                                      for row in s.order),
+                  f"unit={s.unit}"]
+        for r in _all_law_reports(s):
+            assert not r.truncated and r.holds == (not r.witnesses)
+            first = "@" + ",".join(map(str, r.witnesses[0])) if r.witnesses else ""
+            fields.append(f"{r.law}={len(r.witnesses)}{first}")
+            failing[r.law] = failing.get(r.law, 0) + (not r.holds)
+        lines.append(" ".join(fields) + "\n")
+    return lines, failing
+
+
+def test_every_law_is_pinned_on_every_raw_structure_up_to_size_two():
+    # recorded at commit f957832, before the laws became table entries
+    lines, failing = _law_table()
+    assert len(lines) == 514
+    assert list(failing) == [*AXIOM_IDS, *IDENTITY_IDS, "order-reflexive",
+                             "order-antisymmetric", "order-transitive"]
+    assert min(failing.values()) > 0  # every formula is seen failing
+    reference = Path(__file__).parent / "data" / "laws_size2.txt"
+    assert "".join(lines) == reference.read_text(encoding="utf-8")
 
 
 def test_order_from_cone_reproduces_exy_relation():

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from obci import (
     BudgetError,
+    CheckReport,
     MapClass,
     Mapping,
     MorphismClass,
@@ -70,15 +71,15 @@ def test_swap_map_is_neither_hom_nor_omap_as_stored():
     # stored table refutes it at the swapped idempotents
     cls = classify(mid3_swap)
     assert not cls.is_hom
-    assert cls.hom_witnesses == ((0, 0), (2, 2))
+    assert cls.hom.witnesses == ((0, 0), (2, 2))
     assert not cls.is_omap
-    assert cls.omap_witnesses == ((0, 1), (0, 2), (1, 2))
+    assert cls.omap.witnesses == ((0, 1), (0, 2), (1, 2))
 
 
 def test_diamond_to_chain_is_omap_not_hom():
     cls = classify(d2c)
     assert cls.is_omap and not cls.is_hom
-    assert cls.hom_witnesses == ((2, 1),)
+    assert cls.hom.witnesses == ((2, 1),)
     # the separating values: d->e maps to 1/3 while the images compose
     # to 2/3
     d, e = diamond.index("d"), diamond.index("e")
@@ -230,11 +231,15 @@ def reference_classify(m, witness_cap):
                 hom_w.append((x, y))
             if cone_s[src.op[x][y]] and not cone_t[rhs]:
                 omap_w.append((x, y))
-    verdicts = {"is_hom": not hom_w, "is_omap": not omap_w}
-    if witness_cap is not None:
-        hom_w, omap_w = hom_w[:witness_cap], omap_w[:witness_cap]
-    return MorphismClass(**verdicts,
-                         hom_witnesses=tuple(hom_w), omap_witnesses=tuple(omap_w))
+    return MorphismClass(reference_report("homomorphism", hom_w, witness_cap),
+                         reference_report("o-map", omap_w, witness_cap))
+
+
+def reference_report(law, witnesses, cap):
+    """A law's report from all of its witnesses, the list cut at the cap."""
+    if cap is None or len(witnesses) <= cap:
+        return CheckReport(law, holds=not witnesses, witnesses=tuple(witnesses))
+    return CheckReport(law, holds=False, witnesses=tuple(witnesses[:cap]), truncated=True)
 
 
 WITNESS_CAPS = (None, 0, 1, 32)

@@ -90,7 +90,7 @@ def test_pair_map_hom_failure_at_stated_witness():
     # the witness pair ((d,e), (e,e)) under row-major indexing
     d_e = fx.ALGEBRAS["diamond"].index("d") * exy.n + exy.index("e")
     e_e = fx.ALGEBRAS["diamond"].index("e") * exy.n + exy.index("e")
-    assert (d_e, e_e) in cls.hom_witnesses
+    assert (d_e, e_e) in cls.hom.witnesses
 
 
 def test_pair_map_omap_failure_for_swap_component():
