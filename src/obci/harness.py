@@ -31,6 +31,15 @@ worker process that builds the pool once: part k takes the contiguous
 slice k of every pass (the algebras, the maps, and the first factors of
 the pairs), and the parent adds each claim's partial reports up in k
 order, so counterexamples stay in pass order.
+
+A claim whose conclusion reads only a small part of its instance carries
+a key: a hashable value fixing everything that conclusion reads.  A pass
+decides such a claim once per distinct key and hands the answer to every
+later instance with that key, under the instance's own context.  The
+three kernel product claims are keyed by the two source positions and
+the three kernel masks (256 keys for the 5,625 pairs over the size-3
+isomorphism classes), `P-kernel-alt` by the target and the map's table.
+The memo lives for one pass, so one `--jobs` part.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from . import fixtures as fixture_lib
@@ -55,13 +65,13 @@ from .core import (
 )
 from .morphisms import (
     Mapping,
-    classify,
-    check_closed_kernel_condition,
+    _closed_kernel_condition,
+    _monotonicity,
     check_reflection_condition,
+    classify,
     image_mask,
     kernel,
     kernel_alt,
-    monotonicity_report,
     preimage_mask,
 )
 from .products import (
@@ -253,7 +263,7 @@ class _Pool:
             return (_AlgebraFacts(self.algebras[i], self.atlas[i]) for i in range(lo, hi))
         if scope == MAP:
             return (None if i is None or j is None
-                    else _MapFacts(m, cls, self.atlas[i], self.atlas[j])
+                    else _MapFacts(m, cls, self.atlas[i], self.atlas[j], j)
                     for i, j, m, cls in self.maps(self.part))
         return _ohom_pairs(self)
 
@@ -332,12 +342,15 @@ class _AlgebraFacts(NamedTuple):
 
 class _MapFacts:
     """One map between pool algebras and the facts its claims read, each
-    worked out at most once."""
+    worked out at most once.  The laws that require an O-homomorphism are
+    reached through their unguarded bodies: the pool has classified the
+    map, and the hypotheses ask them of O-homomorphisms only."""
 
-    def __init__(self, m: Mapping, cls, source: Atlas, target: Atlas):
+    def __init__(self, m: Mapping, cls, source: Atlas, target: Atlas, j: int):
         self.m = m
         self.ohom = cls.is_ohom
         self.source, self.target = source, target  # the endpoints' atlases
+        self.j = j  # the target's pool position
         self.ker = kernel(m).mask
         self.surjective = m.is_surjective()
         self.unit = m.preserves_unit()
@@ -349,7 +362,7 @@ class _MapFacts:
     @cached_property
     def closed_kernel(self) -> bool:
         """The closed-kernel condition; asked of O-homomorphisms only."""
-        return check_closed_kernel_condition(self.m, witness_cap=1).holds
+        return _closed_kernel_condition(self.m, 1).holds
 
     @property
     def context(self) -> tuple[str, ...]:
@@ -357,7 +370,16 @@ class _MapFacts:
 
 
 class _OhomPair(NamedTuple):
-    """One pair of O-homomorphisms with everything the product claims share."""
+    """One pair of O-homomorphisms with everything the product claims share.
+
+    `kernels` is (s1, s2, ker f1, ker f2, ker(f1 x f2)): the pool positions
+    of the two sources and the three kernels as masks.  It is the key of
+    the three kernel claims, which read nothing else: the source product
+    is fixed by (s1, s2), the three kernel subsets by their masks over it
+    and its factors, and `k_upper_sets` reads ker f1 and ker f2 again off
+    the maps' tables, equal to these masks because `of` is given k1 and
+    k2 as the kernels of f1 and f2.
+    """
 
     f1: Mapping
     f2: Mapping
@@ -366,6 +388,15 @@ class _OhomPair(NamedTuple):
     source: ProductAlgebra
     pm: Mapping  # the pair map f1 x f2
     k: Subset  # ker(f1 x f2)
+    kernels: tuple
+
+    @classmethod
+    def of(cls, s1: int, s2: int, f1: Mapping, f2: Mapping, k1: Subset, k2: Subset,
+           source: ProductAlgebra, pm: Mapping) -> _OhomPair:
+        """The pair with ker(f1 x f2) read off the pair map's own table, so
+        that `T-product-kernel` is never decided from k1 x k2."""
+        k = kernel(pm)
+        return cls(f1, f2, k1, k2, source, pm, k, (s1, s2, k1.mask, k2.mask, k.mask))
 
     @property
     def context(self) -> tuple[str, ...]:
@@ -380,6 +411,8 @@ def _ohom_pairs(pool: _Pool):
 
     Products are cached by the pool positions of their factors and checked
     against all six axioms once each; pairs are streamed, never stored.
+    Each pair's `kernels` key is taken from its own pair map's kernel, and
+    `pair_map` and `classify` still run on every pair.
     """
     ohoms = [(i, j, f, kernel(f)) for i, j, f in pool.ohoms()]
     lo, hi = _bounds(len(ohoms), pool.part)
@@ -401,7 +434,7 @@ def _ohom_pairs(pool: _Pool):
             yield None
             continue
         pm = pair_map(f1, f2, source=src, target=dst)
-        yield _OhomPair(f1, f2, k1, k2, src, pm, kernel(pm))
+        yield _OhomPair.of(s1, s2, f1, f2, k1, k2, src, pm)
 
 
 # --- hypotheses ----------------------------------------------------------------
@@ -447,7 +480,7 @@ def _ordfilter_is_filter(f: _AlgebraFacts, mask, cap):
 
 
 def _monotone(f: _MapFacts, cap):
-    r = monotonicity_report(f.m, witness_cap=cap)
+    r = _monotonicity(f.m, cap)
     return [((), r.witnesses[0])] if not r.holds else ()
 
 
@@ -460,7 +493,7 @@ def _closed_kernel(f: _MapFacts, cap):
     if f.closed_kernel:
         return ()
     case = "closed" if f.source.subalgebra >> f.ker & 1 else "ordered-closed"
-    r = check_closed_kernel_condition(f.m, witness_cap=cap)
+    r = _closed_kernel_condition(f.m, cap)
     return [((f"case={case}",), r.witnesses[0])]
 
 
@@ -590,6 +623,8 @@ def _ksets(p: _OhomPair, cap):
 
 # --- the claims ------------------------------------------------------------------
 
+_kernels = attrgetter("kernels")
+
 ALGEBRA, MAP, PAIR = "algebra", "map", "pair"
 
 
@@ -603,12 +638,19 @@ class Claim(NamedTuple):
     and `conclusion(instance, mask, cap)` checks each subset mask in the
     bitset `chosen`, the other masks of the n-element universe being
     skipped.  A conclusion returns (extra context, witness) per violation.
+
+    `key`, given only without `subsets`, maps an instance to a hashable
+    value that fixes everything the conclusion reads, so that instances
+    with equal keys get equal (extra context, witness) lists; the context
+    of each instance itself stays outside the key.  A pass then calls the
+    conclusion once per distinct key (see `_check`).
     """
 
     scope: str
     hypothesis: Callable
     conclusion: Callable
     subsets: Callable | None = None
+    key: Callable | None = None
 
 
 FILTER, ORDERED_FILTER = SubstructureKind.FILTER, SubstructureKind.ORDERED_FILTER
@@ -621,7 +663,10 @@ CLAIMS: dict[str, Claim] = {
         ALGEBRA, _always, _ordfilter_is_filter,
         lambda f: (f.algebra.n, f.atlas.ordered_filter & f.atlas.cone)),
     "P-monotone": Claim(MAP, _ohom, _monotone),
-    "P-kernel-alt": Claim(MAP, _always, _kernel_alt),
+    # `kernel` and `kernel_alt` read only the target and the table, and the
+    # witness is source indices, the source size being len(table).
+    "P-kernel-alt": Claim(MAP, _always, _kernel_alt,
+                          key=lambda f: (f.j, f.m.table)),
     "P-closed-kernel": Claim(MAP, _closed_kernel_ohom, _closed_kernel),
     "T-kernel-closed-converse": Claim(MAP, lambda f: _unit_ohom(f) and f.closed_kernel,
                                       _kernel_is(SUBALGEBRA, ORDERED_SUBALGEBRA)),
@@ -643,11 +688,14 @@ CLAIMS: dict[str, Claim] = {
     "T-filter-bijection": Claim(MAP, _surjective_unit_ohom, _bijection(FILTER)),
     "T-ordfilter-bijection": Claim(MAP, _surjective_unit_ohom,
                                    _bijection(ORDERED_FILTER, in_cone=True)),
-    # Over pairs whose source and target products are both algebras.
+    # Over pairs whose source and target products are both algebras; the
+    # kernel claims are keyed by `_OhomPair.kernels`, the pair map's own
+    # law by nothing.
     "T-pairmap-ohom": Claim(PAIR, _always, _pairmap_ohom),
-    "T-product-kernel": Claim(PAIR, _always, _product_kernel),
-    "T-product-kernel-projection": Claim(PAIR, _always, _product_kernel_projection),
-    "T-ksets": Claim(PAIR, _always, _ksets),
+    "T-product-kernel": Claim(PAIR, _always, _product_kernel, key=_kernels),
+    "T-product-kernel-projection": Claim(PAIR, _always, _product_kernel_projection,
+                                         key=_kernels),
+    "T-ksets": Claim(PAIR, _always, _ksets, key=_kernels),
 }
 
 CLAIM_IDS = tuple(CLAIMS)
@@ -657,19 +705,29 @@ def _check(claims, instances, cap):
     """Claims of one scope in one pass over its instances.
 
     A None instance, or one failing a claim's hypothesis, is one skip.
+    A keyed claim's conclusion runs on the first instance of each key
+    only; later instances with that key reuse its (extra context,
+    witness) list from a memo that lives for this pass alone, so for one
+    `--jobs` part.  Counts and counterexample contexts stay per instance.
     Returns claim id -> (checked, skipped, counterexamples), the
     counterexamples in instance order.
     """
     tallies = {c: [0, 0, []] for c in claims}
-    specs = [(*CLAIMS[c], tallies[c]) for c in claims]
+    specs = [(*CLAIMS[c], tallies[c], {}) for c in claims]
     for inst in instances:
-        for _, hypothesis, conclusion, subsets, tally in specs:
+        for _, hypothesis, conclusion, subsets, key, tally, memo in specs:
             if inst is None or not hypothesis(inst):
                 tally[1] += 1
                 continue
             if subsets is None:
                 tally[0] += 1
-                found = conclusion(inst, cap)
+                if key is None:
+                    found = conclusion(inst, cap)
+                else:
+                    k = key(inst)
+                    found = memo.get(k)
+                    if found is None:
+                        found = memo[k] = conclusion(inst, cap)
             else:
                 n, chosen = subsets(inst)
                 count = chosen.bit_count()

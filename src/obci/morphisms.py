@@ -146,6 +146,11 @@ def monotonicity_report(m: Mapping, *,
     Witnesses: ("unit-selfarrow",), ("unit-image",) or ("order", x, y).
     """
     _require_ohom(m, "monotonicity_report")
+    return _monotonicity(m, witness_cap)
+
+
+def _monotonicity(m: Mapping, witness_cap: int | None) -> CheckReport:
+    """`monotonicity_report` for a map its caller has already classified."""
     t = m.table
     src, dst = m.source, m.target
     cone_t = dst.order[dst.unit]
@@ -203,6 +208,12 @@ def check_closed_kernel_condition(m: Mapping, *,
                                   witness_cap: int | None = DEFAULT_WITNESS_CAP) -> CheckReport:
     """kappa(unit_X) <= kappa(x) forces x->unit_X into the kernel."""
     _require_ohom(m, "check_closed_kernel_condition")
+    return _closed_kernel_condition(m, witness_cap)
+
+
+def _closed_kernel_condition(m: Mapping, witness_cap: int | None) -> CheckReport:
+    """`check_closed_kernel_condition` for a map its caller has already
+    classified."""
     ker = kernel(m)
     src, dst = m.source, m.target
     t = m.table

@@ -16,10 +16,10 @@ from obci import (
     verify_all,
     verify_claim,
 )
-from obci import harness, scan
+from obci import harness, morphisms, scan
 from obci.core import BudgetError, check_derived_identities
 from obci.harness import CLAIM_IDS
-from obci.morphisms import identity_map
+from obci.morphisms import Mapping, classify, identity_map
 from obci.substructures import is_filter
 
 
@@ -274,3 +274,100 @@ def test_jobs_below_one_is_rejected(monkeypatch, jobs):
     monkeypatch.setattr(harness, "_pool_for", no_process)
     with pytest.raises(ValueError, match="jobs"):
         verify_all(("P-identities",), sizes=(1,), jobs=jobs)
+
+
+# --- keyed claims: a conclusion runs once per distinct key --------------------
+
+_KERNEL_CLAIMS = ("T-product-kernel", "T-product-kernel-projection", "T-ksets")
+
+
+def test_keyed_claims_are_the_kernel_product_claims_and_kernel_alt():
+    assert [c for c, spec in harness.CLAIMS.items() if spec.key is not None] == \
+        ["P-kernel-alt", *_KERNEL_CLAIMS]
+
+
+def _unkeyed(claim, instances, cap=None):
+    """What `_check` must report for an always-hypothesis claim: its
+    conclusion called on every instance."""
+    conclusion = harness.CLAIMS[claim].conclusion
+    return (len(instances), 0,
+            [harness.Counterexample(inst.context + extra, witness)
+             for inst in instances for extra, witness in conclusion(inst, cap)])
+
+
+def _grouped(instances, key, facts):
+    """key -> the set of `facts` over the instances with that key."""
+    groups = {}
+    for inst in instances:
+        groups.setdefault(key(inst), set()).add(facts(inst))
+    return groups
+
+
+def _pair_facts(p):
+    """Everything the kernel claims read of a pair, through the same layers."""
+    first, second, equal = harness.k_upper_sets(p.k1, p.k2, p.f1, p.f2, source=p.source)
+    try:
+        left, right = harness.projection_kernels(p.source, p.k)
+        projected = (left.mask, right.mask, left.member_labels(), right.member_labels())
+    except harness.ShapeError:
+        projected = None
+    return (p.source, p.k.universe, p.k.mask, p.k1.mask, p.k2.mask, first.mask,
+            second.mask, equal, projected, p.f1.source.unit, p.f2.source.n)
+
+
+@pytest.mark.parametrize("scope", [{"sizes": (1, 2)},
+                                   {"sizes": (3,), "up_to_iso": True}])
+def test_kernel_claim_keys_fix_what_the_conclusions_read(scope):
+    pool = harness._pool_for(**scope)
+    pairs = [p for p in harness._ohom_pairs(pool) if p is not None]
+    groups = _grouped(pairs, lambda p: p.kernels, _pair_facts)
+    assert len(groups) < len(pairs)  # the memo has work to save
+    assert all(len(facts) == 1 for facts in groups.values())
+    for claim in _KERNEL_CLAIMS:
+        assert harness._check([claim], pairs, None)[claim] == _unkeyed(claim, pairs)
+
+
+def test_kernel_alt_key_fixes_what_the_conclusion_reads():
+    pool = harness._pool_for(sizes=(1, 2, 3), up_to_iso=True)
+    maps = list(pool.instances(harness.MAP))
+    assert len(maps) == 1223
+    groups = _grouped(maps, lambda f: (f.j, f.m.table),
+                      lambda f: (f.m.target, f.m.source.n, f.ker,
+                                 harness.kernel_alt(f.m).mask))
+    assert len(groups) == 265
+    assert all(len(facts) == 1 for facts in groups.values())
+    assert harness._check(["P-kernel-alt"], maps, None)["P-kernel-alt"] == \
+        _unkeyed("P-kernel-alt", maps)
+
+
+def test_pairs_differing_only_in_the_pair_kernel_get_their_own_verdicts():
+    pool = harness._pool_for(sizes=(1, 2))
+    real = next(p for p in harness._ohom_pairs(pool)
+                if p is not None and len(p.k) < p.k.universe.n)
+    # a fabricated pair map onto the target's unit: its kernel is everything
+    pm = real.pm
+    onto_unit = Mapping(pm.source, pm.target, (pm.target.unit,) * pm.source.n)
+    fake = harness._OhomPair.of(*real.kernels[:2], real.f1, real.f2, real.k1,
+                                real.k2, real.source, onto_unit)
+    assert fake.kernels[:4] == real.kernels[:4] and fake.k.mask != real.k.mask
+    for claim in _KERNEL_CLAIMS:
+        conclusion = harness.CLAIMS[claim].conclusion
+        assert not conclusion(real, None) and conclusion(fake, None)
+        for instances in ([real, fake], [fake, real], [real, fake, real, fake]):
+            assert harness._check([claim], instances, None)[claim] == \
+                _unkeyed(claim, instances)
+
+
+def test_map_pass_classifies_each_map_once(monkeypatch):
+    calls = []
+
+    def counted(m, **kwargs):
+        calls.append(m)
+        return classify(m, **kwargs)
+
+    # the laws that require an O-hom classify through the morphisms module
+    monkeypatch.setattr(harness, "classify", counted)
+    monkeypatch.setattr(morphisms, "classify", counted)
+    claims = [c for c, spec in harness.CLAIMS.items() if spec.scope != "pair"]
+    verify_all(claims, sizes=(1, 2, 3), up_to_iso=True)
+    assert len(calls) == 1223
