@@ -32,7 +32,6 @@ from .substructures import (
     satisfies_cone_condition,
 )
 from .morphisms import (
-    MapClass,
     Mapping,
     MorphismClass,
     check_closed_kernel_condition,

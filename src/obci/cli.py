@@ -30,10 +30,9 @@ from .core import (
     StructureError,
     Subset,
     UniverseMismatchError,
-    ValidatedAlgebra,
     axiom_reports,
+    certified,
     reflexive_transitive_closure,
-    validate,
 )
 from .fileio import ParseError, load_algebra, load_map, serialize_algebra
 from .fixtures import Finding
@@ -115,8 +114,8 @@ def _load_map_arg(path: str, src: str | None, dst: str | None) -> Mapping:
     return load_map(path, _load_algebra_arg(src), _load_algebra_arg(dst))
 
 
-def _emit_findings(out: _Out, subject_obj, topics: tuple[str, ...]) -> None:
-    """Print audit findings when the object is a bundled fixture."""
+def _emit_findings(out: _Out, subject_obj, topic: str) -> None:
+    """Print the audit finding on `topic` when the object is a bundled fixture."""
     if isinstance(subject_obj, RawStructure):
         name = subject_obj.name
         if fixture_lib.ALGEBRAS.get(name) != subject_obj:
@@ -127,9 +126,8 @@ def _emit_findings(out: _Out, subject_obj, topics: tuple[str, ...]) -> None:
             return
     else:
         return
-    for f in fixture_lib.findings_for(name):
-        if f.topic in topics:
-            out.finding(f)
+    for f in fixture_lib.findings_for(name, topic):
+        out.finding(f)
 
 
 # --- subcommands ------------------------------------------------------------
@@ -146,13 +144,12 @@ def _cmd_axioms(args, out: _Out) -> int:
     for r in reports:
         out.law(r, s.labels)
     good = sum(r.holds for r in reports)
-    result = None
     if args.command == "validate":
         out.note(f"{good}/6 axioms hold", f"AXIOMS {good}/6")
-        result = validate(s, witness_cap=args.witness_cap)
-    _emit_findings(out, original, ("valid",))
-    if isinstance(result, ValidatedAlgebra):
-        out.note(f"cone: {_fmt_set(result.cone)}", f"CONE {_fmt_set(result.cone)}")
+    _emit_findings(out, original, "valid")
+    if args.command == "validate" and good == len(reports):
+        cone = _fmt_set(certified(s).cone)
+        out.note(f"cone: {cone}", f"CONE {cone}")
     return 0 if good == len(reports) else 1
 
 
@@ -201,7 +198,7 @@ def _print_classification(out: _Out, m: Mapping, witness_cap) -> MorphismClass:
 def _cmd_classify(args, out: _Out) -> int:
     m = _load_map_arg(args.mapfile, args.src, args.dst)
     cls = _print_classification(out, m, args.witness_cap)
-    _emit_findings(out, m, ("classify",))
+    _emit_findings(out, m, "classify")
     return 0 if cls.is_ohom else 1
 
 
@@ -210,7 +207,7 @@ def _cmd_kernel(args, out: _Out) -> int:
     k = kernel_alt(m) if args.alt else kernel(m)
     labels = ", ".join(k.member_labels())
     out.note(f"ker = {{{labels}}}", f"KER {_fmt_set(k)}")
-    _emit_findings(out, m, ("kernel",))
+    _emit_findings(out, m, "kernel")
     return 0
 
 
@@ -442,7 +439,7 @@ def main(argv=None) -> int:
             out.law(exc.report, None)
         return 2
     except (ParseError, StructureError, UniverseMismatchError, BudgetError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,9 +5,9 @@ index table (row = left argument), the order relation an n x n boolean
 matrix.  A RawStructure promises only well-formedness; nothing about the
 six defining axioms is assumed, so deliberately broken structures can be
 probed.  `validate` checks all six axioms exhaustively and, on success,
-wraps the structure as a ValidatedAlgebra together with its positive cone
-{z : unit <= z}.  By the linking axiom (OBCI-5) the cone determines the
-whole relation: i <= j iff op[i][j] lies in the cone.
+`certified` wraps the structure as a ValidatedAlgebra together with its
+positive cone {z : unit <= z}.  By the linking axiom (OBCI-5) the cone
+determines the whole relation: i <= j iff op[i][j] lies in the cone.
 
 The laws are data: AXIOMS, IDENTITIES and ORDER_LAWS map each law id to
 its arity and a predicate that is true where the law is violated, and one
@@ -253,7 +253,7 @@ class Subset:
 
 @dataclass(frozen=True)
 class ValidatedAlgebra:
-    """A structure certified against all six axioms; construct via `validate`.
+    """A structure certified against all six axioms; made only by `certified`.
 
     The stored relation is then exactly the cone-generated one and is a
     partial order.
@@ -373,12 +373,19 @@ def validate(s: RawStructure, *,
         report = check_axiom(s, axiom, witness_cap=witness_cap)
         if not report.holds:
             return report
-    algebra = ValidatedAlgebra(s, Subset.from_indices(s, s.cone_members()))
-    # OBCI-3/4 plus cone-transitivity make the relation a partial order;
-    # anything else here is an implementation bug.
+    return certified(s)
+
+
+def certified(s: RawStructure) -> ValidatedAlgebra:
+    """Wrap a structure whose caller has found all six axioms to hold.
+
+    The only maker of a ValidatedAlgebra.  OBCI-3/4 plus cone-transitivity
+    make the relation a partial order; a RuntimeError here means the
+    caller's axiom check is wrong.
+    """
     if not all(r.holds for r in relation_reports(s)):
         raise RuntimeError("validated relation is not a partial order")
-    return algebra
+    return ValidatedAlgebra(s, Subset.from_indices(s, s.cone_members()))
 
 
 # --- derived identities ----------------------------------------------------
@@ -403,8 +410,9 @@ def check_derived_identities(a: ValidatedAlgebra, *,
 def order_from_cone(op, unit: int, cone) -> tuple[tuple[bool, ...], ...]:
     """The unique relation linked to a cone: i <= j iff op[i][j] is in it.
 
-    `cone` may be a Subset or any iterable of element indices.  Used by the
-    enumerator so candidate structures can never break the linking axiom.
+    `cone` may be a Subset or any iterable of element indices.  The
+    enumerator builds every relation with it, so its structures can never
+    break the linking axiom.
     """
     n = len(op)
     if not 0 <= unit < n:

@@ -171,11 +171,18 @@ def serialize_map(m: Mapping) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_algebra(path: str) -> RawStructure:
+def _read_text(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return parse_algebra(fh.read(), source=path)
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}",
+                             path) from None
+
+
+def load_algebra(path: str) -> RawStructure:
+    return parse_algebra(_read_text(path), source=path)
 
 
 def load_map(path: str, src: RawStructure, dst: RawStructure) -> Mapping:
-    with open(path, encoding="utf-8") as fh:
-        return parse_map(fh.read(), src, dst, source=path)
+    return parse_map(_read_text(path), src, dst, source=path)

@@ -175,6 +175,6 @@ def audit() -> tuple[Finding, ...]:
     return _audit(STATED)
 
 
-def findings_for(subject: str) -> tuple[Finding, ...]:
-    """The audit of one subject's stated claims only."""
-    return _audit(c for c in STATED if c.subject == subject)
+def findings_for(subject: str, topic: str) -> tuple[Finding, ...]:
+    """The audit of one subject's stated claims on one topic only."""
+    return _audit(c for c in STATED if c.subject == subject and c.topic == topic)

@@ -53,15 +53,16 @@ from typing import Callable, NamedTuple
 from . import fixtures as fixture_lib
 from . import scan
 from .core import (
-    AXIOM_IDS,
     DEFAULT_WITNESS_CAP,
     BudgetError,
     RawStructure,
     ShapeError,
     Subset,
     ValidatedAlgebra,
-    check_axiom,
+    certified,
     check_derived_identities,
+    order_from_cone,
+    validate,
 )
 from .morphisms import (
     Mapping,
@@ -69,6 +70,7 @@ from .morphisms import (
     _monotonicity,
     check_reflection_condition,
     classify,
+    enumerate_maps,
     image_mask,
     kernel,
     kernel_alt,
@@ -76,9 +78,9 @@ from .morphisms import (
 )
 from .products import (
     ProductAlgebra,
+    direct_product,
     k_upper_sets,
     pair_map,
-    product_structure,
     projection_kernels,
     rectangle_mask,
 )
@@ -113,10 +115,9 @@ class SweepReport:
 def _algebra_from_scan(n: int, flat_op: tuple[int, ...], cone_mask: int,
                        name: str) -> ValidatedAlgebra:
     op = tuple(tuple(flat_op[i * n:(i + 1) * n]) for i in range(n))
-    cone = [bool(cone_mask >> i & 1) for i in range(n)]
-    order = tuple(tuple(cone[op[i][j]] for j in range(n)) for i in range(n))
-    s = RawStructure(name, _ENUM_LABELS[:n], op, 0, order)
-    return ValidatedAlgebra(s, Subset(s, cone_mask))
+    cone = (i for i in range(n) if cone_mask >> i & 1)
+    return certified(RawStructure(name, _ENUM_LABELS[:n], op, 0,
+                                  order_from_cone(op, 0, cone)))
 
 
 def _canonical_key(n: int, flat_op: tuple[int, ...], cone_mask: int):
@@ -159,8 +160,8 @@ def enumerate_obci(n: int, *, up_to_iso: bool = False,
         i += 1
 
 
-def enumerate_obci_naive(n: int, *, budget: int | None = DEFAULT_NAIVE_BUDGET):
-    """Generate-and-test oracle: raw tables x explicit relation matrices.
+def enumerate_obci_naive(n: int):
+    """Generate-and-validate oracle: raw tables x explicit relation matrices.
 
     No unit-row forcing and no cone representation; every axiom including
     the linking one is checked on the stored matrix.  Yields in (table,
@@ -169,10 +170,10 @@ def enumerate_obci_naive(n: int, *, budget: int | None = DEFAULT_NAIVE_BUDGET):
     if n < 1:
         raise ValueError("carrier size must be at least 1")
     candidates = n ** (n * n) * 2 ** (n * n)
-    if budget is not None and candidates > budget:
+    if candidates > DEFAULT_NAIVE_BUDGET:
         raise BudgetError(
             f"naive scan space for size {n} has {candidates} candidates, "
-            f"exceeding the budget of {budget}"
+            f"exceeding the budget of {DEFAULT_NAIVE_BUDGET}"
         )
     i = 0
     labels = _ENUM_LABELS[:n]
@@ -180,9 +181,10 @@ def enumerate_obci_naive(n: int, *, budget: int | None = DEFAULT_NAIVE_BUDGET):
         op = tuple(tuple(flat_op[r * n:(r + 1) * n]) for r in range(n))
         for flat_rel in itertools.product((False, True), repeat=n * n):
             order = tuple(tuple(flat_rel[r * n:(r + 1) * n]) for r in range(n))
-            s = RawStructure(f"naive{n}-{i}", labels, op, 0, order)
-            if all(check_axiom(s, a, witness_cap=1).holds for a in AXIOM_IDS):
-                yield ValidatedAlgebra(s, Subset.from_indices(s, s.cone_members()))
+            result = validate(RawStructure(f"naive{n}-{i}", labels, op, 0, order),
+                              witness_cap=0)
+            if isinstance(result, ValidatedAlgebra):
+                yield result
                 i += 1
 
 
@@ -217,13 +219,8 @@ class _Pool:
     def _pair_maps(self, i: int, j: int):
         key = (i, j)
         if key not in self._map_cache:
-            src = self.algebras[i].structure
-            dst = self.algebras[j].structure
-            entries = []
-            for table in itertools.product(range(dst.n), repeat=src.n):
-                m = Mapping(src, dst, table)
-                entries.append((m, classify(m)))
-            self._map_cache[key] = entries
+            maps = enumerate_maps(self.algebras[i].structure, self.algebras[j].structure)
+            self._map_cache[key] = [(m, classify(m)) for m in maps]
         return self._map_cache[key]
 
     def maps(self, part=(0, 1)):
@@ -409,28 +406,26 @@ def _ohom_pairs(pool: _Pool):
     `pool.part` of the O-homs, in pair order; None for a pair whose source
     or target product is no algebra.
 
-    Products are cached by the pool positions of their factors and checked
-    against all six axioms once each; pairs are streamed, never stored.
+    Products are cached by the pool positions of their factors and
+    certified by `direct_product` once each; pairs are streamed, never
+    stored.
     Each pair's `kernels` key is taken from its own pair map's kernel, and
     `pair_map` and `classify` still run on every pair.
     """
     ohoms = [(i, j, f, kernel(f)) for i, j, f in pool.ohoms()]
     lo, hi = _bounds(len(ohoms), pool.part)
-    products: dict[tuple[int, int], tuple[ProductAlgebra, bool]] = {}
+    products = {}
 
     def product_of(i1, i2, left, right):
         key = (i1, i2)
         if key not in products:
-            combined = product_structure(left, right)
-            valid = all(check_axiom(combined, a, witness_cap=1).holds
-                        for a in AXIOM_IDS)
-            products[key] = (ProductAlgebra(left, right, combined), valid)
+            products[key] = direct_product(left, right, witness_cap=0)
         return products[key]
 
     for (s1, t1, f1, k1), (s2, t2, f2, k2) in itertools.product(ohoms[lo:hi], ohoms):
-        src, src_ok = product_of(s1, s2, f1.source, f2.source)
-        dst, dst_ok = product_of(t1, t2, f1.target, f2.target)
-        if not (src_ok and dst_ok):
+        src, src_report = product_of(s1, s2, f1.source, f2.source)
+        dst, dst_report = product_of(t1, t2, f1.target, f2.target)
+        if not (src_report.holds and dst_report.holds):
             yield None
             continue
         pm = pair_map(f1, f2, source=src, target=dst)
@@ -610,7 +605,7 @@ def _product_kernel_projection(p: _OhomPair, cap):
 
 def _ksets(p: _OhomPair, cap):
     first, second, equal = k_upper_sets(p.k1, p.k2, p.f1, p.f2, source=p.source)
-    unit_pair = p.f1.source.unit * p.f2.source.n + p.f2.source.unit
+    unit_pair = p.source.pair_index(p.f1.source.unit, p.f2.source.unit)
     problems = []
     if not equal:
         problems.append(((), ("sides-differ",)))

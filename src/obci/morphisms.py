@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from operator import itemgetter
 from typing import Iterator
 
@@ -264,37 +263,13 @@ def preimage(m: Mapping, t: Subset) -> Subset:
     return Subset(m.source, preimage_mask(m, t.mask))
 
 
-class MapClass(Enum):
-    ALL = "all"
-    HOM = "hom"
-    OMAP = "omap"
-    OHOM = "ohom"
-
-
-def enumerate_maps(src: RawStructure, dst: RawStructure,
-                   klass: MapClass = MapClass.ALL, *,
-                   surjective_only: bool = False,
-                   unit_preserving_only: bool = False,
-                   budget: int = DEFAULT_MAP_BUDGET) -> Iterator[Mapping]:
-    """All maps src -> dst in lexicographic table order, filtered by class."""
+def enumerate_maps(src: RawStructure, dst: RawStructure) -> Iterator[Mapping]:
+    """All maps src -> dst in lexicographic table order."""
     candidates = dst.n ** src.n
-    if candidates > budget:
+    if candidates > DEFAULT_MAP_BUDGET:
         raise BudgetError(
             f"{candidates} candidate maps from {src.name!r} to {dst.name!r} "
-            f"exceed the budget of {budget}"
+            f"exceed the budget of {DEFAULT_MAP_BUDGET}"
         )
     for table in itertools.product(range(dst.n), repeat=src.n):
-        m = Mapping(src, dst, table)
-        if surjective_only and not m.is_surjective():
-            continue
-        if unit_preserving_only and not m.preserves_unit():
-            continue
-        if klass is not MapClass.ALL:
-            cls = classify(m, witness_cap=1)
-            if klass is MapClass.HOM and not cls.is_hom:
-                continue
-            if klass is MapClass.OMAP and not cls.is_omap:
-                continue
-            if klass is MapClass.OHOM and not cls.is_ohom:
-                continue
-        yield m
+        yield Mapping(src, dst, table)

@@ -38,6 +38,11 @@ class ProductAlgebra:
     right: RawStructure
     combined: RawStructure
 
+    @classmethod
+    def of(cls, left: RawStructure, right: RawStructure) -> "ProductAlgebra":
+        """The product of two structures; the one place one is built."""
+        return cls(left, right, product_structure(left, right))
+
     def pair_index(self, x1: int, x2: int) -> int:
         return x1 * self.right.n + x2
 
@@ -71,21 +76,20 @@ def product_structure(x1: RawStructure, x2: RawStructure) -> RawStructure:
 
 
 def direct_product(x1: RawStructure, x2: RawStructure, *,
-                   budget: int = DEFAULT_PRODUCT_BUDGET,
                    witness_cap: int | None = DEFAULT_WITNESS_CAP,
                    ) -> tuple[ProductAlgebra, CheckReport]:
     """Build the combined structure and report whether it is an algebra.
 
     The report's witnesses are tagged with the failing axiom id.
     """
-    if x1.n * x2.n > budget:
+    if x1.n * x2.n > DEFAULT_PRODUCT_BUDGET:
         raise BudgetError(
-            f"product carrier size {x1.n * x2.n} exceeds the budget of {budget}"
+            f"product carrier size {x1.n * x2.n} exceeds the budget of "
+            f"{DEFAULT_PRODUCT_BUDGET}"
         )
-    combined = product_structure(x1, x2)
-    product = ProductAlgebra(x1, x2, combined)
+    product = ProductAlgebra.of(x1, x2)
     report = CheckReport.merged("direct-product-obci",
-                                axiom_reports(combined, witness_cap=witness_cap))
+                                axiom_reports(product.combined, witness_cap=witness_cap))
     return product, report
 
 
@@ -94,11 +98,9 @@ def pair_map(f1: Mapping, f2: Mapping, *,
              target: ProductAlgebra | None = None) -> Mapping:
     """The componentwise map (x1, x2) |-> (f1(x1), f2(x2)) between products."""
     if source is None:
-        source = ProductAlgebra(f1.source, f2.source,
-                                product_structure(f1.source, f2.source))
+        source = ProductAlgebra.of(f1.source, f2.source)
     if target is None:
-        target = ProductAlgebra(f1.target, f2.target,
-                                product_structure(f1.target, f2.target))
+        target = ProductAlgebra.of(f1.target, f2.target)
     if (source.left, source.right) != (f1.source, f2.source):
         raise UniverseMismatchError("pair_map: source product does not match the maps")
     if (target.left, target.right) != (f1.target, f2.target):
@@ -172,8 +174,7 @@ def k_upper_sets(k1: Subset, k2: Subset, f1: Mapping, f2: Mapping, *,
     if k2.universe != f2.source:
         raise UniverseMismatchError("k_upper_sets: K2 is not over the second map's source")
     if source is None:
-        source = ProductAlgebra(f1.source, f2.source,
-                                product_structure(f1.source, f2.source))
+        source = ProductAlgebra.of(f1.source, f2.source)
     if (source.left, source.right) != (f1.source, f2.source):
         raise UniverseMismatchError("k_upper_sets: source product does not match the maps")
     n2 = f2.source.n

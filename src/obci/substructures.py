@@ -180,12 +180,12 @@ _ATLAS_FIELD = {SubstructureKind.FILTER: 0, SubstructureKind.ORDERED_FILTER: 1,
                 SubstructureKind.SUBALGEBRA: 2, SubstructureKind.ORDERED_SUBALGEBRA: 3}
 
 
-def enumerate_substructures(a: RawStructure, kind: SubstructureKind, *,
-                            budget: int = DEFAULT_ENUMERATION_BUDGET) -> list[Subset]:
+def enumerate_substructures(a: RawStructure, kind: SubstructureKind) -> list[Subset]:
     """All subsets satisfying the kind's predicate, ascending by bitmask."""
-    if a.n > budget:
+    if a.n > DEFAULT_ENUMERATION_BUDGET:
         raise BudgetError(
-            f"carrier size {a.n} exceeds the enumeration budget of {budget}"
+            f"carrier size {a.n} exceeds the enumeration budget of "
+            f"{DEFAULT_ENUMERATION_BUDGET}"
         )
     out = []
     for mask in range(1 << a.n):

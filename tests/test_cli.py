@@ -1,3 +1,5 @@
+import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -378,6 +380,71 @@ def test_missing_file_is_a_usage_error(capsys):
     assert rc == 2
     rc, _, err = run(capsys, "validate", "fixture:nope")
     assert rc == 2
+
+
+def _unreadable(tmp_path, what):
+    """A path whose reading or writing fails: a directory, or a file of
+    bytes that are not UTF-8."""
+    if what == "directory":
+        return str(tmp_path)
+    bad = tmp_path / "bad.alg"
+    bad.write_bytes(b"algebra \xff\xfe\n")
+    return str(bad)
+
+
+@pytest.mark.parametrize("what", ["directory", "non-utf8"])
+@pytest.mark.parametrize("argv", [
+    ("validate", "{}"),
+    ("classify", "{}", "{alg}", "{alg}"),
+    ("classify", "{map}", "{}", "{alg}"),
+    ("kernel", "{map}", "{alg}", "{}"),
+])
+def test_unreadable_input_is_a_usage_error(tmp_path, capsys, what, argv):
+    alg = tmp_path / "exy.alg"
+    alg.write_text(fx.fixture_text("exy"), encoding="utf-8")
+    mp = tmp_path / "m.map"
+    mp.write_text(fx.fixture_text("exy-id"), encoding="utf-8")
+    path = _unreadable(tmp_path, what)
+    rc, _, err = run(capsys, *(a.format(path, map=mp, alg=alg) for a in argv))
+    assert rc == 2
+    assert err.startswith("error: ") and path in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_product_output_is_a_usage_error(tmp_path, capsys):
+    rc, _, err = run(capsys, "product", "fixture:exy", "fixture:ea",
+                     "-o", str(tmp_path))
+    assert rc == 2
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+def _counting(monkeypatch, module, name):
+    """Count calls of `module.name` through every obci module binding it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("obci") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv, module, name, expected", [
+    # six reports printed, six more for the audit's own default-cap pass
+    (("validate", "fixture:exy"), "core", "check_axiom", 12),
+    (("validate", "fixture:mid3"), "core", "check_axiom", 12),
+    (("classify", "fixture:exy-to-ea"), "morphisms", "kernel", 0),
+    (("kernel", "fixture:exy-to-ea"), "morphisms", "classify", 0),
+])
+def test_each_command_audits_only_what_it_prints(monkeypatch, capsys, argv, module,
+                                                  name, expected):
+    calls = _counting(monkeypatch, importlib.import_module(f"obci.{module}"), name)
+    run(capsys, *argv)
+    assert len(calls) == expected
 
 
 def test_unknown_subcommand_exits_2():

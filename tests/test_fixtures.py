@@ -81,25 +81,27 @@ def test_stated_claims_that_hold_produce_no_findings():
 
 
 def test_findings_for_filter():
-    assert fx.findings_for("mid3")
-    assert not fx.findings_for("exy")
+    assert fx.findings_for("mid3", "valid")
+    assert not fx.findings_for("exy", "valid")
+    assert not fx.findings_for("mid3", "kernel")
 
 
 def test_findings_for_audits_only_its_subject(monkeypatch):
     subjects = {c.subject for c in fx.STATED}
     audit = fx.audit()
     for subject in subjects | {"nope"}:
-        assert fx.findings_for(subject) == tuple(f for f in audit
-                                                 if f.subject == subject)
+        for topic in fx._AUDITS:
+            assert fx.findings_for(subject, topic) == tuple(
+                f for f in audit if (f.subject, f.topic) == (subject, topic))
     audited = []
 
-    def recording(check):
+    def recording(topic, check):
         def audit_one(subject, stated):
-            audited.append(subject)
+            audited.append((subject, topic))
             return check(subject, stated)
         return audit_one
 
     for topic, check in list(fx._AUDITS.items()):
-        monkeypatch.setitem(fx._AUDITS, topic, recording(check))
-    fx.findings_for("diamond-to-chain")
-    assert audited == ["diamond-to-chain", "diamond-to-chain"]  # classify, kernel
+        monkeypatch.setitem(fx._AUDITS, topic, recording(topic, check))
+    fx.findings_for("diamond-to-chain", "kernel")
+    assert audited == [("diamond-to-chain", "kernel")]

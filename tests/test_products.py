@@ -73,9 +73,10 @@ def test_product_with_raw_fixture_reports_failure():
     assert (capped.holds, capped.witnesses, capped.truncated) == (False, (), True)
 
 
-def test_product_budget():
-    with pytest.raises(BudgetError):
-        direct_product(exy, ea, budget=4)
+def test_product_budget(blank):
+    direct_product(blank(8), blank(8), witness_cap=0)
+    with pytest.raises(BudgetError, match="size 72 exceeds the budget of 64"):
+        direct_product(blank(9), blank(8))
 
 
 def test_pair_map_of_ohoms_is_ohom():
