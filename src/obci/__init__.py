@@ -38,6 +38,7 @@ from .morphisms import (
     check_reflection_condition,
     classify,
     constant_to_unit,
+    enumerate_homs,
     enumerate_maps,
     identity_map,
     image,

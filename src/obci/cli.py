@@ -215,12 +215,13 @@ def _cmd_product(args, out: _Out) -> int:
     a = _load_algebra_arg(args.file_a)
     b = _load_algebra_arg(args.file_b)
     product, report = direct_product(a, b, witness_cap=args.witness_cap)
-    out.law(report, product.combined.labels)
     text = serialize_algebra(product.combined)
+    # The file first: an unwritable output exits 2 before any verdict.
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
+    out.law(report, product.combined.labels)
+    if not args.output:
         sys.stdout.write(text)
     return 0 if report.holds else 1
 

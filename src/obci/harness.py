@@ -23,23 +23,29 @@ and preimages are mask arithmetic over the map's table.  A predicate
 itself runs again only to name the witness of a failure the atlas shows.
 
 The claims a sweep asks for are checked in one pass per scope: over the
-algebras; over the maps, working out each map's class, kernel,
-surjectivity, unit preservation and reflection once; and over the
+algebras; over the homomorphisms, which the backtracking search
+`morphisms.enumerate_homs` finds without building the other maps, working
+out each one's class, kernel, surjectivity, unit preservation and
+reflection once; over every map, for `P-kernel-alt`; and over the
 O-homomorphism pairs, building each pair map, its kernel and each product
-once.  With `jobs=J` the sweep is cut into J fixed parts, each run by a
-worker process that builds the pool once: part k takes the contiguous
-slice k of every pass (the algebras, the maps, and the first factors of
-the pairs), and the parent adds each claim's partial reports up in k
-order, so counterexamples stay in pass order.
+once.  Every claim of the hom pass asks for an O-homomorphism, so each
+other map is one skip for it, counted by arithmetic: the number of maps
+less the number of homs.  With `jobs=J` the sweep is cut into J fixed
+parts, each run by a worker process that builds the pool once: part k
+takes the contiguous slice k of every pass (the algebras, the homs, the
+maps, and the first factors of the pairs), part 0 counts the skipped
+maps, and the parent adds each claim's partial reports up in k order, so
+counterexamples stay in pass order.
 
-A claim whose conclusion reads only a small part of its instance carries
-a key: a hashable value fixing everything that conclusion reads.  A pass
-decides such a claim once per distinct key and hands the answer to every
-later instance with that key, under the instance's own context.  The
+A claim whose verdict reads only a small part of its instance carries a
+key: a hashable value fixing whether the conclusion holds.  A pass
+decides such a claim once per distinct key, and runs the conclusion again
+only on instances of a failing key, to name their counterexamples.  The
 three kernel product claims are keyed by the two source positions and
 the three kernel masks (256 keys for the 5,625 pairs over the size-3
-isomorphism classes), `P-kernel-alt` by the target and the map's table.
-The memo lives for one pass, so one `--jobs` part.
+isomorphism classes), `P-kernel-alt` by the target and the map's image
+set (49 keys for the 1,223 maps over the size 1-3 isomorphism classes;
+see `_check_maps`).  The verdicts live for one pass, so one `--jobs` part.
 """
 
 from __future__ import annotations
@@ -70,6 +76,7 @@ from .morphisms import (
     _monotonicity,
     check_reflection_condition,
     classify,
+    enumerate_homs,
     enumerate_maps,
     image_mask,
     kernel,
@@ -197,14 +204,16 @@ def _bounds(n: int, part) -> tuple[int, int]:
 
 
 class _Pool:
-    """Algebras and classified maps a sweep quantifies over."""
+    """Algebras and classified maps a sweep quantifies over: the
+    homomorphisms between pool algebras, or the explicit fixture maps.  The
+    other maps are counted, not built (`unclassified`), and `P-kernel-alt`
+    is decided per (target, image set) from `map_blocks` (`_check_maps`)."""
 
     def __init__(self, algebras: list[ValidatedAlgebra],
                  fixture_maps: list[Mapping] | None = None):
         self.algebras = algebras
         self.fixture_maps = fixture_maps
         self._position = {a.structure: i for i, a in enumerate(algebras)}
-        self._map_cache: dict[tuple[int, int], list] = {}
         # The claims a sweep asks for, checked together per scope on the
         # first request, and the slice (k, parts) of every pass they cover.
         self.claims: tuple[str, ...] = ()
@@ -216,53 +225,59 @@ class _Pool:
         """Substructure atlas of each algebra, by pool position."""
         return [Atlas.of(a.structure) for a in self.algebras]
 
-    def _pair_maps(self, i: int, j: int):
-        key = (i, j)
-        if key not in self._map_cache:
-            maps = enumerate_maps(self.algebras[i].structure, self.algebras[j].structure)
-            self._map_cache[key] = [(m, classify(m)) for m in maps]
-        return self._map_cache[key]
-
-    def maps(self, part=(0, 1)):
-        """Yield (i, j, mapping, class) for slice `part` of the maps, in map
-        order; i and j are the pool positions of the endpoints, None for a
-        structure that is not validated (fixture scope only)."""
+    def map_blocks(self):
+        """(i, j, count, maps) per block of maps, in map order: the `count`
+        maps between two pool algebras, `maps` iterating them lazily, or one
+        fixture map alone; i and j are the pool positions of the endpoints,
+        None for a structure that is not validated (fixture scope only)."""
         if self.fixture_maps is not None:
-            lo, hi = _bounds(len(self.fixture_maps), part)
-            for m in self.fixture_maps[lo:hi]:
+            for m in self.fixture_maps:
                 yield (self._position.get(m.source), self._position.get(m.target),
-                       m, classify(m))
+                       1, iter((m,)))
             return
-        blocks = [(i, j, b.n ** a.n) for i, a in enumerate(self.algebras)
-                  for j, b in enumerate(self.algebras)]
-        lo, hi = _bounds(sum(size for _, _, size in blocks), part)
-        for i, j, size in blocks:  # lo and hi relative to the block's start
-            if hi <= 0:
-                break
-            if lo < size:
-                for m, cls in self._pair_maps(i, j)[max(lo, 0):hi]:
-                    yield i, j, m, cls
-            lo -= size
-            hi -= size
+        for i, a in enumerate(self.algebras):
+            for j, b in enumerate(self.algebras):
+                yield i, j, b.n ** a.n, enumerate_maps(a.structure, b.structure)
+
+    @cached_property
+    def classified(self) -> list[tuple]:
+        """(i, j, map, class) for every map the pool classifies, in map
+        order: each homomorphism between pool algebras, or each fixture map
+        (i and j as in `map_blocks`)."""
+        if self.fixture_maps is not None:
+            return [(self._position.get(m.source), self._position.get(m.target), m,
+                     classify(m)) for m in self.fixture_maps]
+        return [(i, j, m, classify(m)) for i, a in enumerate(self.algebras)
+                for j, b in enumerate(self.algebras)
+                for m in enumerate_homs(a.structure, b.structure)]
 
     def ohoms(self):
         """(source index, target index, map) for every O-homomorphism
         between pool algebras, in map order."""
-        return [(i, j, m) for i, j, m, cls in self.maps()
+        return [(i, j, m) for i, j, m, cls in self.classified
                 if i is not None and j is not None and cls.is_ohom]
 
     def instances(self, scope: str):
-        """The instances of a scope in slice `part`, in order; None stands
-        for one every claim skips (an endpoint or a product that is no
-        algebra)."""
+        """The instances of a scope other than MAP in slice `part`, in
+        order; None stands for one every claim skips (an endpoint or a
+        product that is no algebra).  The MAP pass reads `map_blocks`."""
         if scope == ALGEBRA:
             lo, hi = _bounds(len(self.algebras), self.part)
             return (_AlgebraFacts(self.algebras[i], self.atlas[i]) for i in range(lo, hi))
-        if scope == MAP:
+        if scope == HOM:
+            lo, hi = _bounds(len(self.classified), self.part)
             return (None if i is None or j is None
-                    else _MapFacts(m, cls, self.atlas[i], self.atlas[j], j)
-                    for i, j, m, cls in self.maps(self.part))
+                    else _MapFacts(m, cls, self.atlas[i], self.atlas[j])
+                    for i, j, m, cls in self.classified[lo:hi])
         return _ohom_pairs(self)
+
+    def unclassified(self) -> int:
+        """The maps between pool algebras the map pass never sees, each a
+        skip for every HOM claim: those that are not homomorphisms.  Part 0
+        counts them, so that the parts add up to each once."""
+        if self.part[0]:
+            return 0
+        return sum(count for _, _, count, _ in self.map_blocks()) - len(self.classified)
 
     def sweep(self, claim: str, cap):
         """One claim's (checked, skipped, counterexamples) over slice `part`.
@@ -274,7 +289,11 @@ class _Pool:
             scope = CLAIMS[claim].scope
             claims = [c for c in dict.fromkeys((claim, *self.claims))
                       if CLAIMS[c].scope == scope]
-            self._results.update(_check(claims, self.instances(scope), cap))
+            if scope == MAP:
+                self._results.update(_check_maps(claims, self, cap))
+            else:
+                skipped = self.unclassified() if scope == HOM else 0
+                self._results.update(_check(claims, self.instances(scope), cap, skipped))
         return self._results[claim]
 
 
@@ -337,17 +356,32 @@ class _AlgebraFacts(NamedTuple):
         return (f"X={self.algebra.name}",)
 
 
-class _MapFacts:
-    """One map between pool algebras and the facts its claims read, each
-    worked out at most once.  The laws that require an O-homomorphism are
-    reached through their unguarded bodies: the pool has classified the
-    map, and the hypotheses ask them of O-homomorphisms only."""
+class _Map(NamedTuple):
+    """A map of the MAP pass, with its target's pool position."""
 
-    def __init__(self, m: Mapping, cls, source: Atlas, target: Atlas, j: int):
+    m: Mapping
+    j: int
+
+    @property
+    def image(self) -> int:
+        return image_mask(self.m, (1 << self.m.source.n) - 1)
+
+    @property
+    def context(self) -> tuple[str, ...]:
+        return _ctx(self.m)
+
+
+class _MapFacts:
+    """One classified map between pool algebras and the facts its claims
+    read, each worked out at most once.  The laws that require an
+    O-homomorphism are reached through their unguarded bodies: the pool has
+    classified the map, and the hypotheses ask them of O-homomorphisms
+    only."""
+
+    def __init__(self, m: Mapping, cls, source: Atlas, target: Atlas):
         self.m = m
         self.ohom = cls.is_ohom
         self.source, self.target = source, target  # the endpoints' atlases
-        self.j = j  # the target's pool position
         self.ker = kernel(m).mask
         self.surjective = m.is_surjective()
         self.unit = m.preserves_unit()
@@ -479,8 +513,8 @@ def _monotone(f: _MapFacts, cap):
     return [((), r.witnesses[0])] if not r.holds else ()
 
 
-def _kernel_alt(f: _MapFacts, cap):
-    diff = f.ker ^ kernel_alt(f.m).mask
+def _kernel_alt(f: _Map, cap):
+    diff = kernel(f.m).mask ^ kernel_alt(f.m).mask
     return [((), Subset(f.m.source, diff).members())] if diff else ()
 
 
@@ -519,7 +553,7 @@ def _preimages(hypothesis, kind) -> Claim:
             return ()
         return [((_set_ctx("G", Y, g), _set_ctx("result", X, pre)), w)]
 
-    return Claim(MAP, hypothesis, conclusion, subsets)
+    return Claim(HOM, hypothesis, conclusion, subsets)
 
 
 def _images(hypothesis, kind, *, in_cone=False, above_kernel=False) -> Claim:
@@ -542,7 +576,7 @@ def _images(hypothesis, kind, *, in_cone=False, above_kernel=False) -> Claim:
             return ()
         return [((_set_ctx("F", X, mask), _set_ctx("result", Y, img)), w)]
 
-    return Claim(MAP, hypothesis, conclusion, subsets)
+    return Claim(HOM, hypothesis, conclusion, subsets)
 
 
 def _bijection(kind, *, in_cone=False):
@@ -620,25 +654,32 @@ def _ksets(p: _OhomPair, cap):
 
 _kernels = attrgetter("kernels")
 
-ALGEBRA, MAP, PAIR = "algebra", "map", "pair"
+ALGEBRA, MAP, HOM, PAIR = "algebra", "map", "hom", "pair"
 
 
 class Claim(NamedTuple):
     """A claim as data.
 
-    `scope` names what it quantifies over: the algebras, the maps or the
-    ordered pairs of O-homomorphisms of a sweep.  An instance failing
-    `hypothesis` is one skip.  Without `subsets`, `conclusion(instance,
-    cap)` checks an instance; with it, `subsets(instance)` gives (n, chosen)
-    and `conclusion(instance, mask, cap)` checks each subset mask in the
-    bitset `chosen`, the other masks of the n-element universe being
-    skipped.  A conclusion returns (extra context, witness) per violation.
+    `scope` names what it quantifies over: the algebras, every map (MAP),
+    the maps of which only the homomorphisms can pass the hypothesis (HOM),
+    or the ordered pairs of O-homomorphisms of a sweep.  An instance
+    failing `hypothesis` is one skip; a HOM pass sees the homomorphisms
+    only and counts every other map as a skip without building it.
+    Without `subsets`, `conclusion(instance, cap)` checks an instance; with
+    it, `subsets(instance)` gives (n, chosen) and `conclusion(instance,
+    mask, cap)` checks each subset mask in the bitset `chosen`, the other
+    masks of the n-element universe being skipped.  A conclusion returns
+    (extra context, witness) per violation.
 
     `key`, given only without `subsets`, maps an instance to a hashable
-    value that fixes everything the conclusion reads, so that instances
-    with equal keys get equal (extra context, witness) lists; the context
-    of each instance itself stays outside the key.  A pass then calls the
-    conclusion once per distinct key (see `_check`).
+    value that fixes whether the conclusion holds: instances with equal
+    keys all pass or all fail.  A pass then calls the conclusion once per
+    key that holds, and on every instance of a failing key, to name that
+    instance's own counterexamples (see `_check`).
+
+    A MAP claim is checked on every map (its hypothesis is `_always`) and
+    is keyed by the target's pool position and the map's image set, so that
+    `_check_maps` decides it once per key without walking the maps.
     """
 
     scope: str
@@ -657,13 +698,14 @@ CLAIMS: dict[str, Claim] = {
     "P-ordfilter-is-filter": Claim(
         ALGEBRA, _always, _ordfilter_is_filter,
         lambda f: (f.algebra.n, f.atlas.ordered_filter & f.atlas.cone)),
-    "P-monotone": Claim(MAP, _ohom, _monotone),
-    # `kernel` and `kernel_alt` read only the target and the table, and the
-    # witness is source indices, the source size being len(table).
-    "P-kernel-alt": Claim(MAP, _always, _kernel_alt,
-                          key=lambda f: (f.j, f.m.table)),
-    "P-closed-kernel": Claim(MAP, _closed_kernel_ohom, _closed_kernel),
-    "T-kernel-closed-converse": Claim(MAP, lambda f: _unit_ohom(f) and f.closed_kernel,
+    "P-monotone": Claim(HOM, _ohom, _monotone),
+    # `kernel` and `kernel_alt` are the preimages, under the map, of target
+    # sets fixed by the target and the image set I: the cone meeting I, and
+    # {v in I : some u in I has e <= u and e <= u->v}.  The two are equal
+    # for every map with image I or for none.
+    "P-kernel-alt": Claim(MAP, _always, _kernel_alt, key=lambda f: (f.j, f.image)),
+    "P-closed-kernel": Claim(HOM, _closed_kernel_ohom, _closed_kernel),
+    "T-kernel-closed-converse": Claim(HOM, lambda f: _unit_ohom(f) and f.closed_kernel,
                                       _kernel_is(SUBALGEBRA, ORDERED_SUBALGEBRA)),
     "T-subalg-preimage": _preimages(_ohom, SUBALGEBRA),
     "T-subalg-image": _images(_surjective_ohom, SUBALGEBRA),
@@ -671,8 +713,8 @@ CLAIMS: dict[str, Claim] = {
     "T-ordsubalg-image-cone": _images(_surjective_ohom, ORDERED_SUBALGEBRA, in_cone=True),
     "T-ordsubalg-image-reflect": _images(lambda f: _surjective_ohom(f) and f.reflects,
                                          ORDERED_SUBALGEBRA),
-    "T-kernel-filter": Claim(MAP, _ohom, _kernel_is(FILTER)),
-    "T-kernel-ordfilter": Claim(MAP, _ohom, _kernel_is(ORDERED_FILTER)),
+    "T-kernel-filter": Claim(HOM, _ohom, _kernel_is(FILTER)),
+    "T-kernel-ordfilter": Claim(HOM, _ohom, _kernel_is(ORDERED_FILTER)),
     "T-filter-preimage": _preimages(_unit_ohom, FILTER),
     "T-filter-image": _images(_surjective_unit_ohom, FILTER),
     "T-ordfilter-preimage": _preimages(_unit_ohom, ORDERED_FILTER),
@@ -680,8 +722,8 @@ CLAIMS: dict[str, Claim] = {
                                          ORDERED_FILTER),
     "T-ordfilter-image-kercone": _images(_surjective_unit_ohom, ORDERED_FILTER,
                                          in_cone=True, above_kernel=True),
-    "T-filter-bijection": Claim(MAP, _surjective_unit_ohom, _bijection(FILTER)),
-    "T-ordfilter-bijection": Claim(MAP, _surjective_unit_ohom,
+    "T-filter-bijection": Claim(HOM, _surjective_unit_ohom, _bijection(FILTER)),
+    "T-ordfilter-bijection": Claim(HOM, _surjective_unit_ohom,
                                    _bijection(ORDERED_FILTER, in_cone=True)),
     # Over pairs whose source and target products are both algebras; the
     # kernel claims are keyed by `_OhomPair.kernels`, the pair map's own
@@ -696,21 +738,21 @@ CLAIMS: dict[str, Claim] = {
 CLAIM_IDS = tuple(CLAIMS)
 
 
-def _check(claims, instances, cap):
+def _check(claims, instances, cap, skipped=0):
     """Claims of one scope in one pass over its instances.
 
-    A None instance, or one failing a claim's hypothesis, is one skip.
-    A keyed claim's conclusion runs on the first instance of each key
-    only; later instances with that key reuse its (extra context,
-    witness) list from a memo that lives for this pass alone, so for one
-    `--jobs` part.  Counts and counterexample contexts stay per instance.
-    Returns claim id -> (checked, skipped, counterexamples), the
-    counterexamples in instance order.
+    A None instance, or one failing a claim's hypothesis, is one skip, as
+    is each of `skipped` instances the pass never sees.  A keyed claim's
+    conclusion runs on the first instance of each key, and again only on
+    later instances of a key that failed; the keys that held are kept for
+    this pass alone, so for one `--jobs` part.  Returns claim id ->
+    (checked, skipped, counterexamples), the counterexamples in instance
+    order.
     """
-    tallies = {c: [0, 0, []] for c in claims}
-    specs = [(*CLAIMS[c], tallies[c], {}) for c in claims]
+    tallies = {c: [0, skipped, []] for c in claims}
+    specs = [(*CLAIMS[c], tallies[c], set()) for c in claims]
     for inst in instances:
-        for _, hypothesis, conclusion, subsets, key, tally, memo in specs:
+        for _, hypothesis, conclusion, subsets, key, tally, holding in specs:
             if inst is None or not hypothesis(inst):
                 tally[1] += 1
                 continue
@@ -718,11 +760,12 @@ def _check(claims, instances, cap):
                 tally[0] += 1
                 if key is None:
                     found = conclusion(inst, cap)
+                elif key(inst) in holding:
+                    found = ()
                 else:
-                    k = key(inst)
-                    found = memo.get(k)
-                    if found is None:
-                        found = memo[k] = conclusion(inst, cap)
+                    found = conclusion(inst, cap)
+                    if not found:
+                        holding.add(key(inst))
             else:
                 n, chosen = subsets(inst)
                 count = chosen.bit_count()
@@ -733,6 +776,63 @@ def _check(claims, instances, cap):
             for extra, witness in found:
                 tally[2].append(Counterexample(inst.context + extra, witness))
     return {c: tuple(t) for c, t in tallies.items()}
+
+
+def _check_maps(claims, pool, cap):
+    """The MAP claims over slice `pool.part` of every map, as `_check` would
+    report them, without a loop over the maps.
+
+    The slice is cut from the maps in map order, block by block (see
+    `_Pool.map_blocks`); every map of a block between pool algebras counts
+    as checked.  Each claim is decided once per key (target, image set I),
+    on a representative map into the target from the pool's largest
+    algebra.  A block is walked, in map order, only when a key of its
+    target fails, and then only to name each map whose key failed.
+    """
+    tallies = {c: [0, 0, []] for c in claims}
+    widest = max((a.structure for a in pool.algebras), key=attrgetter("n"), default=None)
+    failing = {}  # target position -> the (claim, key) pairs failing there
+
+    def failing_at(j: int) -> set:
+        if j not in failing:
+            target = pool.algebras[j].structure
+            reps = [_Map(_representative(widest, target, image), j)
+                    for image in range(1, 1 << target.n) if image.bit_count() <= widest.n]
+            failing[j] = {(c, CLAIMS[c].key(rep)) for c in claims for rep in reps
+                          if CLAIMS[c].conclusion(rep, cap)}
+        return failing[j]
+
+    blocks = list(pool.map_blocks())
+    lo, hi = _bounds(sum(count for _, _, count, _ in blocks), pool.part)
+    for i, j, count, maps in blocks:
+        start, stop = max(lo, 0), min(hi, count)  # relative to the block
+        lo -= count
+        hi -= count
+        if start >= stop:
+            continue
+        if i is None or j is None:
+            for claim in claims:
+                tallies[claim][1] += stop - start
+            continue
+        for claim in claims:
+            tallies[claim][0] += stop - start
+        if not failing_at(j):
+            continue
+        for m in itertools.islice(maps, start, stop):
+            inst = _Map(m, j)
+            for claim in claims:
+                if (claim, CLAIMS[claim].key(inst)) in failing[j]:
+                    tallies[claim][2].extend(
+                        Counterexample(inst.context + extra, witness)
+                        for extra, witness in CLAIMS[claim].conclusion(inst, cap))
+    return {c: tuple(t) for c, t in tallies.items()}
+
+
+def _representative(source: RawStructure, target: RawStructure, image: int) -> Mapping:
+    """A map source -> target with the given image set, of at most
+    source.n elements: its members in ascending order, the last repeated."""
+    members = [v for v in range(target.n) if image >> v & 1]
+    return Mapping(source, target, members + members[-1:] * (source.n - len(members)))
 
 
 def _known(claim: str) -> str:
@@ -856,11 +956,16 @@ def find_counterexample(query: str, *, sizes=None, fixtures=None,
     """First witness for a separating-example query or a claim id."""
     if query in SEARCH_QUERIES:
         pool = _pool_for(sizes, fixtures, up_to_iso=up_to_iso)
-        for _, _, m, cls in pool.maps():
-            if query == "hom-not-omap" and cls.is_hom and not cls.is_omap:
-                return Counterexample(_ctx(m), cls.omap.witnesses[0])
-            if query == "omap-not-hom" and cls.is_omap and not cls.is_hom:
-                return Counterexample(_ctx(m), cls.hom.witnesses[0])
+        if query == "hom-not-omap":  # the pool classifies every hom of its scope
+            return next((Counterexample(_ctx(m), cls.omap.witnesses[0])
+                         for _, _, m, cls in pool.classified
+                         if cls.is_hom and not cls.is_omap), None)
+        # such a map is no hom, so every map is walked
+        for *_, maps in pool.map_blocks():
+            for m in maps:
+                cls = classify(m)
+                if cls.is_omap and not cls.is_hom:
+                    return Counterexample(_ctx(m), cls.hom.witnesses[0])
         return None
     if query in CLAIM_IDS:
         report = verify_claim(query, sizes=sizes, fixtures=fixtures,

@@ -7,6 +7,8 @@ both is an O-homomorphism.  `classify` returns a MorphismClass holding one
 CheckReport per law, its witnesses the failing pairs (x, y) cut at the cap
 by `CheckReport.collect`.  Kernels are defined for arbitrary mappings:
 ker(kappa) = {x : unit_Y <= kappa(x)} under the target's stored relation.
+`enumerate_maps` yields every map between two carriers and
+`enumerate_homs` only the homomorphisms, both in lexicographic table order.
 """
 
 from __future__ import annotations
@@ -273,3 +275,34 @@ def enumerate_maps(src: RawStructure, dst: RawStructure) -> Iterator[Mapping]:
         )
     for table in itertools.product(range(dst.n), repeat=src.n):
         yield Mapping(src, dst, table)
+
+
+def enumerate_homs(src: RawStructure, dst: RawStructure) -> Iterator[Mapping]:
+    """All homomorphisms src -> dst, in the table order of `enumerate_maps`.
+
+    A backtracking search: t[0..n-1] is filled in order, each entry trying
+    the target's elements in ascending order, and a partial table is
+    dropped as soon as a hom-law cell (x, y) fails whose t[x], t[y] and
+    t[x->y] are all assigned.  Every cell is checked once, at the entry
+    assigned last of the three, so a full table is a homomorphism.  This
+    is the redundant-constraint pruning of `scan.valid_tables`, applied to
+    maps instead of tables.
+    """
+    n, op_t = src.n, dst.op
+    # cells[k]: the hom-law cells (x, y, x->y) whose last assigned entry is t[k]
+    cells: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for x, row in enumerate(src.op):
+        for y, v in enumerate(row):
+            cells[max(x, y, v)].append((x, y, v))
+    t = [0] * n
+
+    def extend(k: int) -> Iterator[Mapping]:
+        if k == n:
+            yield Mapping(src, dst, t)
+            return
+        for value in range(dst.n):
+            t[k] = value
+            if all(t[v] == op_t[t[x]][t[y]] for x, y, v in cells[k]):
+                yield from extend(k + 1)
+
+    return extend(0)

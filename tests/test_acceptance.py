@@ -12,7 +12,8 @@ lookups, so that a drift in the checker's verdict fails the suite:
   idempotents (order-independent, so no relation repair can help).  A
   genuine homomorphism that is not an O-map exists only from size 4: the
   identity between two size-4 algebras sharing one table, whose cones
-  {e,a,c} and {e,c} differ.
+  {e,a,c} and {e,c} differ, and `search hom-not-omap` over the size-4
+  isomorphism classes finds it first.
 * criterion 4: the two filter-lattice bijection claims have genuine
   counterexamples, e.g. the chain b <= e <= a whose cone {e, a} is
   contained in only two of its four filters; the other 22 claims verify.
@@ -36,6 +37,7 @@ from obci import (
 from obci.cli import main as cli_main
 from obci.harness import (
     CLAIM_IDS,
+    Counterexample,
     enumerate_obci,
     enumerate_obci_naive,
     find_counterexample,
@@ -161,8 +163,10 @@ def test_criterion_3_separating_examples():
                     and ("hom", "1", "1") in finding.witnesses)
 
     # A genuine one needs size 4: the identity between the two cones of one
-    # table is a homomorphism, but e->a = a is in the source cone only.
+    # table is a homomorphism, but e->a = a is in the source cone only.  The
+    # search itself finds it, the first among the size-4 classes.
     below_4 = find_counterexample("hom-not-omap", sizes=(1, 2, 3))
+    at_4 = find_counterexample("hom-not-omap", sizes=(1, 2, 3, 4), up_to_iso=True)
     n4_31 = _n4_algebra("n4-31", {"e", "a", "c"})
     n4_30 = _n4_algebra("n4-30", {"e", "c"})
     valid = all(isinstance(validate(s), ValidatedAlgebra)
@@ -172,6 +176,8 @@ def test_criterion_3_separating_examples():
     ident = classify(ident_map, witness_cap=None)
     raw_ident = _omap_violations(ident_map)
     hom_not_omap = (below_4 is None and valid
+                    and at_4 == Counterexample(("X=n4-31", "Y=n4-30", "map=(0,1,2,3)"),
+                                               (0, 1))
                     and _hom_violations(ident_map) == []
                     and raw_ident == [(0, 1)]
                     and ident.is_hom and not ident.is_omap
@@ -197,7 +203,7 @@ def test_criterion_3_separating_examples():
     )
     assert hom_not_omap, (
         f"expected no hom-not-O-map below size 4 (found {below_4}) and the "
-        f"identity n4-31 -> n4-30 as one at (e,a) (axioms valid: {valid}, "
+        f"identity n4-31 -> n4-30 as one at (e,a) (searched: {at_4}; axioms valid: {valid}, "
         f"computed: {ident}, raw O-map witnesses {ident_labels})"
     )
     assert names_pinned, (

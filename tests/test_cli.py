@@ -418,6 +418,15 @@ def test_unwritable_product_output_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and str(tmp_path) in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_unwritable_product_output_prints_no_verdict(tmp_path, capsys, fmt):
+    # a directory as OUT: the file is opened before the LAW line is printed
+    rc, out, err = run(capsys, "--format", fmt, "product", "fixture:exy",
+                       "fixture:ea", "-o", str(tmp_path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def _counting(monkeypatch, module, name):
     """Count calls of `module.name` through every obci module binding it."""
     original = getattr(module, name)

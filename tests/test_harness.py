@@ -18,7 +18,7 @@ from obci import (
 from obci import harness, morphisms, scan
 from obci.core import BudgetError, check_derived_identities
 from obci.harness import CLAIM_IDS
-from obci.morphisms import Mapping, classify, identity_map
+from obci.morphisms import Mapping, classify, identity_map, image_mask
 from obci.substructures import is_filter
 
 
@@ -328,17 +328,44 @@ def test_kernel_claim_keys_fix_what_the_conclusions_read(scope):
         assert harness._check([claim], pairs, None)[claim] == _unkeyed(claim, pairs)
 
 
+def _every_map(pool):
+    return [harness._Map(m, j) for _, j, _, maps in pool.map_blocks() for m in maps]
+
+
 def test_kernel_alt_key_fixes_what_the_conclusion_reads():
+    # kernel and kernel_alt are the preimages of target sets fixed by the
+    # key (target, image set), so the key fixes the verdict
     pool = harness._pool_for(sizes=(1, 2, 3), up_to_iso=True)
-    maps = list(pool.instances(harness.MAP))
+    maps = _every_map(pool)
     assert len(maps) == 1223
-    groups = _grouped(maps, lambda f: (f.j, f.m.table),
-                      lambda f: (f.m.target, f.m.source.n, f.ker,
-                                 harness.kernel_alt(f.m).mask))
-    assert len(groups) == 265
+    groups = _grouped(maps, harness.CLAIMS["P-kernel-alt"].key,
+                      lambda f: (f.m.target, image_mask(f.m, kernel(f.m).mask),
+                                 image_mask(f.m, harness.kernel_alt(f.m).mask)))
+    assert len(groups) == 49  # every non-empty subset of each of the 9 targets
     assert all(len(facts) == 1 for facts in groups.values())
-    assert harness._check(["P-kernel-alt"], maps, None)["P-kernel-alt"] == \
+    assert harness._check_maps(["P-kernel-alt"], pool, None)["P-kernel-alt"] == \
         _unkeyed("P-kernel-alt", maps)
+
+
+def _fails_on_unit_and_one_more(f, cap):
+    """Fails on the maps whose image is the unit and one other element, a
+    verdict the key (target, image set) fixes; the witness is the table."""
+    return [((), f.m.table)] if f.image & 1 and f.image.bit_count() == 2 else ()
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_map_pass_names_the_maps_of_failing_keys_in_map_order(monkeypatch, parts):
+    _patch_conclusion(monkeypatch, "P-kernel-alt", _fails_on_unit_and_one_more)
+    pool = harness._pool_for(sizes=(1, 2, 3), up_to_iso=True)
+    maps = _every_map(pool)
+    checked, skipped, ces = 0, 0, []
+    for k in range(parts):
+        pool.part = (k, parts)
+        c, s, found = harness._check_maps(["P-kernel-alt"], pool, None)["P-kernel-alt"]
+        checked, skipped, ces = checked + c, skipped + s, ces + found
+    expected = _unkeyed("P-kernel-alt", maps)
+    assert (checked, skipped, ces) == expected
+    assert 0 < len(ces) < len(maps)
 
 
 def test_pairs_differing_only_in_the_pair_kernel_get_their_own_verdicts():
@@ -359,7 +386,7 @@ def test_pairs_differing_only_in_the_pair_kernel_get_their_own_verdicts():
                 _unkeyed(claim, instances)
 
 
-def test_map_pass_classifies_each_map_once(monkeypatch):
+def test_map_pass_classifies_each_hom_once_and_no_other_map(monkeypatch):
     calls = []
 
     def counted(m, **kwargs):
@@ -371,4 +398,41 @@ def test_map_pass_classifies_each_map_once(monkeypatch):
     monkeypatch.setattr(morphisms, "classify", counted)
     claims = [c for c, spec in harness.CLAIMS.items() if spec.scope != "pair"]
     verify_all(claims, sizes=(1, 2, 3), up_to_iso=True)
-    assert len(calls) == 1223
+    # the 138 homs among the 1,223 maps; every other map is skipped unbuilt
+    assert len(calls) == len(set(calls)) == 138
+    assert all(classify(m).is_hom for m in calls)
+
+
+# The 20 non-product claims over the 42 isomorphism classes of sizes 1-4:
+# (checked, skipped, counterexamples) per claim, as recorded from a sweep
+# that built and classified all 310,994 maps one by one.
+_SIZE_FOUR_ISO = {
+    "P-identities": (42, 0, 0),
+    "P-ordfilter-is-filter": (42, 544, 0),
+    "P-monotone": (4605, 306389, 0),
+    "P-kernel-alt": (310994, 0, 0),
+    "P-closed-kernel": (4528, 306466, 0),
+    "T-kernel-closed-converse": (3564, 307430, 0),
+    "T-subalg-preimage": (33708, 340237, 0),
+    "T-subalg-image": (1162, 312026, 0),
+    "T-ordsubalg-preimage": (63626, 310319, 0),
+    "T-ordsubalg-image-cone": (354, 312834, 0),
+    "T-ordsubalg-image-reflect": (844, 310963, 0),
+    "T-kernel-filter": (4605, 306389, 0),
+    "T-kernel-ordfilter": (4605, 306389, 0),
+    "T-filter-preimage": (15056, 344866, 0),
+    "T-filter-image": (759, 312429, 0),
+    "T-ordfilter-preimage": (17191, 342731, 0),
+    "T-ordfilter-image-reflect": (315, 311492, 0),
+    "T-ordfilter-image-kercone": (61, 313127, 0),
+    "T-filter-bijection": (160, 310834, 74),
+    "T-ordfilter-bijection": (160, 310834, 606)
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_size_four_iso_sweep_counts(jobs):
+    claims = [c for c, spec in harness.CLAIMS.items() if spec.scope != "pair"]
+    reports = verify_all(claims, sizes=(1, 2, 3, 4), up_to_iso=True, jobs=jobs)
+    assert {r.claim: (r.instances_checked, r.hypothesis_skipped,
+                      len(r.counterexamples)) for r in reports} == _SIZE_FOUR_ISO

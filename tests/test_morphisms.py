@@ -15,6 +15,7 @@ from obci import (
     check_reflection_condition,
     classify,
     constant_to_unit,
+    enumerate_homs,
     enumerate_maps,
     identity_map,
     image,
@@ -193,6 +194,25 @@ def test_enumerate_maps_budget(blank):
     # 8**8 = 16,777,216 candidate maps exceed the fixed budget of 10**7.
     with pytest.raises(BudgetError, match="exceed the budget of 10000000"):
         next(enumerate_maps(blank(8), blank(8)))
+
+
+def test_enumerate_homs_is_enumerate_maps_filtered_by_classify():
+    # Every pair of labelled algebras of sizes 1-3 and of the raw fixtures
+    # (whose laws may fail), in order; CI repeats the algebra check over the
+    # isomorphism classes of sizes 1-4.
+    algebras = [a.structure for n in (1, 2, 3) for a in enumerate_obci(n)]
+    counts = []
+    for structures in (algebras, list(fx.ALGEBRAS.values())):
+        homs = 0
+        for src in structures:
+            for dst in structures:
+                found = list(enumerate_homs(src, dst))
+                assert found == [m for m in enumerate_maps(src, dst)
+                                 if classify(m).is_hom], (src.name, dst.name)
+                homs += len(found)
+        counts.append(homs)
+    # the 299 O-homomorphisms of sizes 1-3: below size 4 every hom is one
+    assert counts[0] == 299 and counts[1] > 0
 
 
 @given(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=3))
