@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 DEFAULT_WITNESS_CAP = 32
@@ -135,13 +134,25 @@ class RawStructure:
     def n(self) -> int:
         return len(self.labels)
 
-    @cached_property
-    def row_getters(self) -> tuple[itemgetter, ...]:
-        """Per row x, a getter picking the entries op[x][0..n-1] of a sequence.
+    # The byte views below hold element indices as bytes, so they are
+    # built only for carriers of at most 256 elements.
 
-        For n = 1 a getter returns the single entry rather than a 1-tuple.
-        """
-        return tuple(itemgetter(*row) for row in self.op)
+    @cached_property
+    def op_bytes(self) -> bytes:
+        """`op` in row-major order, one byte per entry."""
+        return bytes(v for row in self.op for v in row)
+
+    @cached_property
+    def row_tables(self) -> tuple[bytes, ...]:
+        """Per row x, the `bytes.translate` table sending y to op[x][y]."""
+        pad = bytes(256 - self.n)
+        return tuple(bytes(row) + pad for row in self.op)
+
+    @cached_property
+    def cone_digits(self) -> bytes:
+        """The `bytes.translate` table sending v to b"1" if unit <= v under
+        the stored relation, and to b"0" otherwise."""
+        return bytes(b"01"[c] for c in self.order[self.unit]).ljust(256, b"0")
 
     @cached_property
     def cone_values_mask(self) -> int:

@@ -27,15 +27,17 @@ algebras; over the homomorphisms, which the backtracking search
 `morphisms.enumerate_homs` finds without building the other maps, working
 out each one's class, kernel, surjectivity, unit preservation and
 reflection once; over every map, for `P-kernel-alt`; and over the
-O-homomorphism pairs, building each pair map, its kernel and each product
-once.  Every claim of the hom pass asks for an O-homomorphism, so each
-other map is one skip for it, counted by arithmetic: the number of maps
-less the number of homs.  With `jobs=J` the sweep is cut into J fixed
-parts, each run by a worker process that builds the pool once: part k
-takes the contiguous slice k of every pass (the algebras, the homs, the
-maps, and the first factors of the pairs), part 0 counts the skipped
-maps, and the parent adds each claim's partial reports up in k order, so
-counterexamples stay in pass order.
+O-homomorphism pairs, building each product once and, per pair, only the
+pair map's byte table, on which both morphism laws are decided cell by
+cell and the pair kernel is read (`morphisms.decide_laws`); the pair map
+itself is built only to name a witness.  Every claim of the hom pass
+asks for an O-homomorphism, so each other map is one skip for it, counted
+by arithmetic: the number of maps less the number of homs.  With `jobs=J`
+the sweep is cut into J fixed parts, each run by a worker process that
+builds the pool once: part k takes the contiguous slice k of every pass
+(the algebras, the homs, the maps, and the first factors of the pairs),
+part 0 counts the skipped maps, and the parent adds each claim's partial
+reports up in k order, so counterexamples stay in pass order.
 
 A claim whose verdict reads only a small part of its instance carries a
 key: a hashable value fixing whether the conclusion holds.  A pass
@@ -76,6 +78,7 @@ from .morphisms import (
     _monotonicity,
     check_reflection_condition,
     classify,
+    decide_laws,
     enumerate_homs,
     enumerate_maps,
     image_mask,
@@ -87,7 +90,7 @@ from .products import (
     ProductAlgebra,
     direct_product,
     k_upper_sets,
-    pair_map,
+    pair_table,
     projection_kernels,
     rectangle_mask,
 )
@@ -403,13 +406,16 @@ class _MapFacts:
 class _OhomPair(NamedTuple):
     """One pair of O-homomorphisms with everything the product claims share.
 
-    `kernels` is (s1, s2, ker f1, ker f2, ker(f1 x f2)): the pool positions
-    of the two sources and the three kernels as masks.  It is the key of
-    the three kernel claims, which read nothing else: the source product
-    is fixed by (s1, s2), the three kernel subsets by their masks over it
-    and its factors, and `k_upper_sets` reads ker f1 and ker f2 again off
-    the maps' tables, equal to these masks because `of` is given k1 and
-    k2 as the kernels of f1 and f2.
+    The pair map f1 x f2 is held as its byte `table` over the two products;
+    `ohom` is its verdict under both morphism laws and `kernels` is (s1,
+    s2, ker f1, ker f2, ker(f1 x f2)): the pool positions of the two
+    sources and the three kernels as masks, the last read off `table`.
+    `kernels` is the key of the three kernel claims, which read nothing
+    else: the source product is fixed by (s1, s2), the three kernel subsets
+    by their masks over it and its factors, and `k_upper_sets` reads ker f1
+    and ker f2 again off the maps' tables, equal to these masks because k1
+    and k2 are the kernels of f1 and f2.  The pair map and its kernel as
+    objects, `pm` and `k`, are built only when a claim reads them.
     """
 
     f1: Mapping
@@ -417,17 +423,30 @@ class _OhomPair(NamedTuple):
     k1: Subset  # ker(f1)
     k2: Subset  # ker(f2)
     source: ProductAlgebra
-    pm: Mapping  # the pair map f1 x f2
-    k: Subset  # ker(f1 x f2)
+    target: ProductAlgebra
+    table: bytes
+    ohom: bool
     kernels: tuple
 
     @classmethod
-    def of(cls, s1: int, s2: int, f1: Mapping, f2: Mapping, k1: Subset, k2: Subset,
-           source: ProductAlgebra, pm: Mapping) -> _OhomPair:
-        """The pair with ker(f1 x f2) read off the pair map's own table, so
-        that `T-product-kernel` is never decided from k1 x k2."""
-        k = kernel(pm)
-        return cls(f1, f2, k1, k2, source, pm, k, (s1, s2, k1.mask, k2.mask, k.mask))
+    def decided(cls, s1: int, s2: int, f1: Mapping, f2: Mapping, k1: Subset, k2: Subset,
+                source: ProductAlgebra, target: ProductAlgebra, table: bytes) -> _OhomPair:
+        """The pair whose map has this table, both laws and its kernel
+        decided on the table itself, so that `T-product-kernel` is never
+        decided from k1 x k2."""
+        ker, ohom = decide_laws(source.combined, target.combined, table)
+        return cls(f1, f2, k1, k2, source, target, table, ohom,
+                   (s1, s2, k1.mask, k2.mask, ker))
+
+    @property
+    def pm(self) -> Mapping:
+        """The pair map f1 x f2."""
+        return Mapping(self.source.combined, self.target.combined, self.table)
+
+    @property
+    def k(self) -> Subset:
+        """ker(f1 x f2)."""
+        return Subset(self.source.combined, self.kernels[4])
 
     @property
     def context(self) -> tuple[str, ...]:
@@ -440,14 +459,17 @@ def _ohom_pairs(pool: _Pool):
     `pool.part` of the O-homs, in pair order; None for a pair whose source
     or target product is no algebra.
 
-    Products are cached by the pool positions of their factors and
-    certified by `direct_product` once each; pairs are streamed, never
-    stored.
-    Each pair's `kernels` key is taken from its own pair map's kernel, and
-    `pair_map` and `classify` still run on every pair.
+    Each first factor is walked against the blocks of second factors that
+    share a (source, target), in order, so both products are looked up
+    once per block.  Products are cached by the pool positions of their
+    factors and certified by `direct_product` once each; pairs are
+    streamed, never stored.  Per pair only the table of the pair map is
+    built, and `_OhomPair.decided` decides its laws and reads its kernel.
     """
     ohoms = [(i, j, f, kernel(f)) for i, j, f in pool.ohoms()]
     lo, hi = _bounds(len(ohoms), pool.part)
+    blocks = [(s2, t2, [(f2, k2) for _, _, f2, k2 in block])
+              for (s2, t2), block in itertools.groupby(ohoms, key=lambda o: o[:2])]
     products = {}
 
     def product_of(i1, i2, left, right):
@@ -456,14 +478,16 @@ def _ohom_pairs(pool: _Pool):
             products[key] = direct_product(left, right, witness_cap=0)
         return products[key]
 
-    for (s1, t1, f1, k1), (s2, t2, f2, k2) in itertools.product(ohoms[lo:hi], ohoms):
-        src, src_report = product_of(s1, s2, f1.source, f2.source)
-        dst, dst_report = product_of(t1, t2, f1.target, f2.target)
-        if not (src_report.holds and dst_report.holds):
-            yield None
-            continue
-        pm = pair_map(f1, f2, source=src, target=dst)
-        yield _OhomPair.of(s1, s2, f1, f2, k1, k2, src, pm)
+    for s1, t1, f1, k1 in ohoms[lo:hi]:
+        for s2, t2, block in blocks:
+            g = block[0][0]  # any second factor of the block
+            src, src_report = product_of(s1, s2, f1.source, g.source)
+            dst, dst_report = product_of(t1, t2, f1.target, g.target)
+            if not (src_report.holds and dst_report.holds):
+                yield from itertools.repeat(None, len(block))
+                continue
+            for f2, k2 in block:
+                yield _OhomPair.decided(s1, s2, f1, f2, k1, k2, src, dst, pair_table(f1, f2))
 
 
 # --- hypotheses ----------------------------------------------------------------
@@ -616,8 +640,10 @@ def _bijection(kind, *, in_cone=False):
 
 
 def _pairmap_ohom(p: _OhomPair, cap):
+    if p.ohom:
+        return ()
     cls = classify(p.pm, witness_cap=cap)
-    return [((), (cls.hom.witnesses or cls.omap.witnesses)[0])] if not cls.is_ohom else ()
+    return [((), (cls.hom.witnesses or cls.omap.witnesses)[0])]
 
 
 def _product_kernel(p: _OhomPair, cap):

@@ -5,7 +5,8 @@ and labels "(l1,l2)".  The product operation acts componentwise, the unit
 is the pair of units, and the product order is the conjunction of the
 component orders.  Construction never requires validity; `direct_product`
 reports whether the result satisfies the axioms, as the definition of a
-direct product algebra demands.
+direct product algebra demands.  `pair_map` builds the pair map of two
+maps as a Mapping, `pair_table` only its table, as bytes.
 
 A set over the combined carrier is one bitmask whose row x1 is the slice
 of n2 bits starting at bit x1*n2: a rectangle left x right is the right
@@ -105,10 +106,21 @@ def pair_map(f1: Mapping, f2: Mapping, *,
         raise UniverseMismatchError("pair_map: source product does not match the maps")
     if (target.left, target.right) != (f1.target, f2.target):
         raise UniverseMismatchError("pair_map: target product does not match the maps")
-    m2 = f2.target.n
-    table = tuple(v1 * m2 + v2 for v1 in f1.table for v2 in f2.table)
     name = f"{f1.name or 'f1'}x{f2.name or 'f2'}"
-    return Mapping(source.combined, target.combined, table, name)
+    return Mapping(source.combined, target.combined, _pair_entries(f1, f2), name)
+
+
+def pair_table(f1: Mapping, f2: Mapping) -> bytes:
+    """The table of the pair map f1 x f2, one byte per entry: the pair pass
+    builds products within `DEFAULT_PRODUCT_BUDGET` only, so every entry
+    fits."""
+    return bytes(_pair_entries(f1, f2))
+
+
+def _pair_entries(f1: Mapping, f2: Mapping):
+    """The entries of the pair map's table, (x1, x2) in row-major order."""
+    m2 = f2.target.n
+    return (v1 * m2 + v2 for v1 in f1.table for v2 in f2.table)
 
 
 def rectangle_mask(left: int, right: int, n2: int) -> int:

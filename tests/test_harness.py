@@ -18,7 +18,7 @@ from obci import (
 from obci import harness, morphisms, scan
 from obci.core import BudgetError, check_derived_identities
 from obci.harness import CLAIM_IDS
-from obci.morphisms import Mapping, classify, identity_map, image_mask
+from obci.morphisms import classify, identity_map, image_mask
 from obci.substructures import is_filter
 
 
@@ -372,11 +372,10 @@ def test_pairs_differing_only_in_the_pair_kernel_get_their_own_verdicts():
     pool = harness._pool_for(sizes=(1, 2))
     real = next(p for p in harness._ohom_pairs(pool)
                 if p is not None and len(p.k) < p.k.universe.n)
-    # a fabricated pair map onto the target's unit: its kernel is everything
-    pm = real.pm
-    onto_unit = Mapping(pm.source, pm.target, (pm.target.unit,) * pm.source.n)
-    fake = harness._OhomPair.of(*real.kernels[:2], real.f1, real.f2, real.k1,
-                                real.k2, real.source, onto_unit)
+    # a fabricated pair table onto the target's unit: its kernel is everything
+    onto_unit = bytes([real.target.combined.unit]) * real.source.combined.n
+    fake = harness._OhomPair.decided(*real.kernels[:2], real.f1, real.f2, real.k1,
+                                     real.k2, real.source, real.target, onto_unit)
     assert fake.kernels[:4] == real.kernels[:4] and fake.k.mask != real.k.mask
     for claim in _KERNEL_CLAIMS:
         conclusion = harness.CLAIMS[claim].conclusion
@@ -384,6 +383,28 @@ def test_pairs_differing_only_in_the_pair_kernel_get_their_own_verdicts():
         for instances in ([real, fake], [fake, real], [real, fake, real, fake]):
             assert harness._check([claim], instances, None)[claim] == \
                 _unkeyed(claim, instances)
+
+
+@pytest.mark.parametrize("cap", [None, 1, 32])
+def test_pairmap_ohom_names_the_classify_witness_of_a_fabricated_pair(cap):
+    pool = harness._pool_for(sizes=(1, 2))
+    real = next(p for p in harness._ohom_pairs(pool)
+                if p is not None and p.target.combined.n > 1)
+    # a hom sends the unit x->x to t[x]->t[x], the target's unit; this
+    # table sends it elsewhere
+    e, e_img = real.source.combined.unit, real.target.combined.unit
+    table = bytearray(real.table)
+    table[e] = (e_img + 1) % real.target.combined.n
+    table = bytes(table)
+    fake = harness._OhomPair.decided(*real.kernels[:2], real.f1, real.f2, real.k1,
+                                     real.k2, real.source, real.target, table)
+    assert real.ohom and harness._pairmap_ohom(real, cap) == ()
+    cls = classify(fake.pm, witness_cap=cap)
+    assert not cls.is_hom and not fake.ohom
+    assert fake.pm.table == tuple(table)
+    assert harness._pairmap_ohom(fake, cap) == [((), cls.hom.witnesses[0])]
+    assert harness._check(["T-pairmap-ohom"], [real, fake], cap)["T-pairmap-ohom"] == \
+        (2, 0, [harness.Counterexample(fake.context, cls.hom.witnesses[0])])
 
 
 def test_map_pass_classifies_each_hom_once_and_no_other_map(monkeypatch):

@@ -26,6 +26,7 @@ from obci import (
 )
 from obci import fixtures as fx
 from obci.harness import enumerate_obci
+from obci.morphisms import decide_laws, kernel_mask
 
 exy = fx.ALGEBRAS["exy"]
 ea = fx.ALGEBRAS["ea"]
@@ -253,27 +254,43 @@ def reference_report(law, witnesses, cap):
 WITNESS_CAPS = (None, 0, 1, 32)
 
 
+def reference_kernel_mask(m):
+    cone_t = m.target.order[m.target.unit]
+    return sum(1 << x for x in range(m.source.n) if cone_t[m.table[x]])
+
+
 def assert_classify_matches_reference(m):
+    """`classify` at every cap, the kernel and O-hom verdict of
+    `decide_laws`, and `kernel_mask`, the kernel rule's other home,
+    against the cell scan."""
+    ref = reference_classify(m, None)
+    assert decide_laws(m.source, m.target, bytes(m.table)) == \
+        (reference_kernel_mask(m), ref.is_ohom), m
+    assert kernel_mask(m) == reference_kernel_mask(m), m
     for cap in WITNESS_CAPS:
         assert classify(m, witness_cap=cap) == reference_classify(m, cap), (m, cap)
 
 
 def test_classify_matches_reference_on_small_enumerated_algebras():
-    algebras = small_algebras()
-    kinds = set()
+    # every map between the labelled algebras of sizes 1-3
+    algebras = [a.structure for n in (1, 2, 3) for a in enumerate_obci(n)]
+    maps, kinds = 0, set()
     for src in algebras:
         for dst in algebras:
             for m in enumerate_maps(src, dst):
                 assert_classify_matches_reference(m)
                 cls = classify(m)
                 kinds.add((cls.is_hom, cls.is_omap))
+                maps += 1
+    assert maps == 3103
     assert kinds == {(True, True), (False, True), (False, False)}
 
 
-def test_classify_matches_reference_on_fixtures():
+def test_classify_matches_reference_on_fixtures(point):
     for m in fx.MAPS.values():
         assert_classify_matches_reference(m)
-    structures = list(fx.ALGEBRAS.values())
+    # the raw and invalid fixtures, and the one-element structure
+    structures = [*fx.ALGEBRAS.values(), point]
     kinds = set()
     for src in structures:
         for dst in structures:
@@ -284,6 +301,14 @@ def test_classify_matches_reference_on_fixtures():
     # the raw fixtures also give homomorphisms that fail the O-map law,
     # the one verdict the mask test alone decides
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_classify_scans_the_cells_of_carriers_beyond_a_byte(blank, point):
+    # element indices above 255 fit no byte table, so no fast path applies
+    big = blank(257)
+    for m in (identity_map(big), constant_to_unit(big, point), constant_to_unit(point, big),
+              Mapping(point, big, (256,))):
+        assert classify(m, witness_cap=1) == reference_classify(m, 1), m.table[:2]
 
 
 @st.composite

@@ -18,7 +18,7 @@ from obci import (
     validate,
 )
 from obci.core import BudgetError
-from obci.products import ProductAlgebra, product_structure
+from obci.products import ProductAlgebra, pair_table, product_structure
 from obci import fixtures as fx
 
 exy = fx.ALGEBRAS["exy"]
@@ -97,6 +97,14 @@ def test_pair_map_hom_failure_at_stated_witness():
 def test_pair_map_omap_failure_for_swap_component():
     cls = classify(pair_map(mid3_swap, exy_to_ea))
     assert not cls.is_omap
+
+
+def test_pair_map_beyond_a_byte(blank):
+    # 17 x 17 = 289 elements: a Mapping, though no byte table holds it
+    f = identity_map(blank(17))
+    pm = pair_map(f, f)
+    assert pm.table == tuple(range(289))
+    assert classify(pm).is_ohom
 
 
 def test_pair_map_universe_check():
@@ -271,3 +279,34 @@ def test_k_upper_sets_match_set_derivation_for_arbitrary_k_sets():
                     assert set(first.members()) == expected_first
                     assert set(second.members()) == expected_second
                     assert equal == (expected_first == expected_second)
+
+
+# --- the pair pass's byte tables against the pair map, cell by cell -------------
+
+def _laws_hold(src, dst, t):
+    """Both morphism laws evaluated cell by cell."""
+    cone_s, cone_t = src.order[src.unit], dst.order[dst.unit]
+    return all(t[src.op[x][y]] == dst.op[t[x]][t[y]]
+               and (not cone_s[src.op[x][y]] or cone_t[dst.op[t[x]][t[y]]])
+               for x in range(src.n) for y in range(src.n))
+
+
+@pytest.mark.parametrize("scope, count", [({"sizes": (1, 2)}, 121),
+                                          ({"sizes": (3,), "up_to_iso": True}, 5625)])
+def test_pair_pass_tables_and_kernels_match_the_pair_map(scope, count):
+    from obci import harness
+
+    pairs = list(harness._ohom_pairs(harness._pool_for(**scope)))
+    assert len(pairs) == count and None not in pairs
+    for p in pairs:
+        pm = pair_map(p.f1, p.f2)
+        src, dst = pm.source, pm.target
+        assert (p.source.combined, p.target.combined) == (src, dst)
+        assert p.table == pair_table(p.f1, p.f2) == bytes(pm.table)
+        n2, m2 = p.f2.source.n, p.f2.target.n
+        assert all(p.table[x1 * n2 + x2] == p.f1(x1) * m2 + p.f2(x2)
+                   for x1 in range(p.f1.source.n) for x2 in range(n2))
+        cone_t = dst.order[dst.unit]
+        expected_ker = sum(1 << x for x in range(src.n) if cone_t[p.table[x]])
+        assert p.kernels[4] == kernel(pm).mask == expected_ker
+        assert p.ohom == _laws_hold(src, dst, p.table) == classify(pm).is_ohom
