@@ -260,8 +260,7 @@ def _cmd_verify(args, out: _Out) -> int:
     else:
         raise ParseError(f"unknown claim id {args.claim!r}; see 'verify all'", "verify")
     scope = {"fixtures": True} if args.fixtures else {"sizes": tuple(range(1, args.size + 1))}
-    reports = harness.verify_all(claims, witness_cap=args.witness_cap,
-                                 jobs=args.jobs, **scope)
+    reports = harness.verify_all(claims, jobs=args.jobs, **scope)
     ok = True
     for r in reports:
         verdict = "VERIFIED" if r.verified else "FAILED"

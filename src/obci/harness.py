@@ -61,8 +61,8 @@ from typing import Callable, NamedTuple
 from . import fixtures as fixture_lib
 from . import scan
 from .core import (
-    DEFAULT_WITNESS_CAP,
     BudgetError,
+    CheckReport,
     RawStructure,
     ShapeError,
     Subset,
@@ -96,7 +96,7 @@ from .products import (
 )
 from .substructures import CHECKS, Atlas, SubstructureKind
 
-DEFAULT_ALGEBRA_BUDGET = 200_000_000
+MAX_CARRIER_SIZE = 4
 DEFAULT_NAIVE_BUDGET = 1_000_000
 
 _ENUM_LABELS = ("e", "a", "b", "c", "d", "f", "g", "h")
@@ -149,19 +149,18 @@ def _canonical_key(n: int, flat_op: tuple[int, ...], cone_mask: int):
     return best
 
 
-def enumerate_obci(n: int, *, up_to_iso: bool = False,
-                   budget: int | None = DEFAULT_ALGEBRA_BUDGET):
+def enumerate_obci(n: int, *, up_to_iso: bool = False):
     """Yield every algebra on carrier {0..n-1} with the unit at index 0.
 
     With up_to_iso, exactly one representative per class under the
     unit-fixing permutations: the lexicographically minimal (table, cone)
     pair.  Order is deterministic: cones ascending, tables lexicographic.
+    A carrier larger than MAX_CARRIER_SIZE raises BudgetError.
     """
     if n < 1:
         raise ValueError("carrier size must be at least 1")
-    if n > len(_ENUM_LABELS):
-        raise BudgetError(f"carrier size {n} beyond supported maximum {len(_ENUM_LABELS)}")
-    scan.check_budget(n, budget)
+    if n > MAX_CARRIER_SIZE:
+        raise BudgetError(f"carrier size {n} beyond the supported maximum {MAX_CARRIER_SIZE}")
     i = 0
     for flat_op, cone_mask in scan.valid_tables(n):
         if up_to_iso and (flat_op, cone_mask) != _canonical_key(n, flat_op, cone_mask):
@@ -282,7 +281,7 @@ class _Pool:
             return 0
         return sum(count for _, _, count, _ in self.map_blocks()) - len(self.classified)
 
-    def sweep(self, claim: str, cap):
+    def sweep(self, claim: str):
         """One claim's (checked, skipped, counterexamples) over slice `part`.
 
         The first request for a scope checks it together with the other
@@ -293,10 +292,10 @@ class _Pool:
             claims = [c for c in dict.fromkeys((claim, *self.claims))
                       if CLAIMS[c].scope == scope]
             if scope == MAP:
-                self._results.update(_check_maps(claims, self, cap))
+                self._results.update(_check_maps(claims, self))
             else:
                 skipped = self.unclassified() if scope == HOM else 0
-                self._results.update(_check(claims, self.instances(scope), cap, skipped))
+                self._results.update(_check(claims, self.instances(scope), skipped))
         return self._results[claim]
 
 
@@ -340,12 +339,12 @@ def _supersets(n: int, mask: int) -> int:
     return sum(1 << s for s in range(1 << n) if s & mask == mask)
 
 
-def _witness(kind, atlas: Atlas, universe: RawStructure, mask: int, cap):
+def _witness(kind, atlas: Atlas, universe: RawStructure, mask: int):
     """None when `kind` holds on the subset `mask` (read off the atlas);
     otherwise the first witness of its check."""
     if atlas.bits(kind) >> mask & 1:
         return None
-    return CHECKS[kind](universe, Subset(universe, mask), witness_cap=cap).witnesses[0]
+    return CHECKS[kind](universe, Subset(universe, mask), witness_cap=1).witnesses[0]
 
 
 # --- instances ---------------------------------------------------------------
@@ -394,9 +393,10 @@ class _MapFacts:
         return check_reflection_condition(self.m, witness_cap=1).holds
 
     @cached_property
-    def closed_kernel(self) -> bool:
-        """The closed-kernel condition; asked of O-homomorphisms only."""
-        return _closed_kernel_condition(self.m, 1).holds
+    def closed_kernel(self) -> CheckReport:
+        """The closed-kernel condition, with its first witness; asked of
+        O-homomorphisms only."""
+        return _closed_kernel_condition(self.m, 1)
 
     @property
     def context(self) -> tuple[str, ...]:
@@ -519,43 +519,42 @@ def _closed_kernel_ohom(f: _MapFacts):
                             | f.source.ordered_subalgebra & f.source.cone) >> f.ker & 1)
 
 
-# --- conclusions: (instance, cap) -> [(extra context, witness)] ----------------
+# --- conclusions: instance -> [(extra context, witness)] ------------------------
 
-def _identities(f: _AlgebraFacts, cap):
-    r = check_derived_identities(f.algebra, witness_cap=cap)
+def _identities(f: _AlgebraFacts):
+    r = check_derived_identities(f.algebra, witness_cap=1)
     return [((), r.witnesses[0])] if not r.holds else ()
 
 
-def _ordfilter_is_filter(f: _AlgebraFacts, mask, cap):
+def _ordfilter_is_filter(f: _AlgebraFacts, mask):
     s = f.algebra.structure
-    w = _witness(FILTER, f.atlas, s, mask, cap)
+    w = _witness(FILTER, f.atlas, s, mask)
     return [((_set_ctx("F", s, mask),), w)] if w is not None else ()
 
 
-def _monotone(f: _MapFacts, cap):
-    r = _monotonicity(f.m, cap)
+def _monotone(f: _MapFacts):
+    r = _monotonicity(f.m, 1)
     return [((), r.witnesses[0])] if not r.holds else ()
 
 
-def _kernel_alt(f: _Map, cap):
+def _kernel_alt(f: _Map):
     diff = kernel(f.m).mask ^ kernel_alt(f.m).mask
     return [((), Subset(f.m.source, diff).members())] if diff else ()
 
 
-def _closed_kernel(f: _MapFacts, cap):
-    if f.closed_kernel:
+def _closed_kernel(f: _MapFacts):
+    if f.closed_kernel.holds:
         return ()
     case = "closed" if f.source.subalgebra >> f.ker & 1 else "ordered-closed"
-    r = _closed_kernel_condition(f.m, cap)
-    return [((f"case={case}",), r.witnesses[0])]
+    return [((f"case={case}",), f.closed_kernel.witnesses[0])]
 
 
 def _kernel_is(*kinds):
     """ker is a subset of each kind; with several, a failure names its law."""
-    def conclusion(f: _MapFacts, cap):
+    def conclusion(f: _MapFacts):
         found = []
         for kind in kinds:
-            w = _witness(kind, f.source, f.m.source, f.ker, cap)
+            w = _witness(kind, f.source, f.m.source, f.ker)
             if w is not None:
                 law = (f"law={kind.value}",) if len(kinds) > 1 else ()
                 found.append(((_set_ctx("ker", f.m.source, f.ker), *law), w))
@@ -569,10 +568,10 @@ def _preimages(hypothesis, kind) -> Claim:
     def subsets(f: _MapFacts):
         return f.m.target.n, f.target.bits(kind)
 
-    def conclusion(f: _MapFacts, g, cap):
+    def conclusion(f: _MapFacts, g):
         X, Y = f.m.source, f.m.target
         pre = preimage_mask(f.m, g)
-        w = _witness(kind, f.source, X, pre, cap)
+        w = _witness(kind, f.source, X, pre)
         if w is None:
             return ()
         return [((_set_ctx("G", Y, g), _set_ctx("result", X, pre)), w)]
@@ -592,10 +591,10 @@ def _images(hypothesis, kind, *, in_cone=False, above_kernel=False) -> Claim:
             chosen &= _supersets(f.m.source.n, f.ker)
         return f.m.source.n, chosen
 
-    def conclusion(f: _MapFacts, mask, cap):
+    def conclusion(f: _MapFacts, mask):
         X, Y = f.m.source, f.m.target
         img = image_mask(f.m, mask)
-        w = _witness(kind, f.target, Y, img, cap)
+        w = _witness(kind, f.target, Y, img)
         if w is None:
             return ()
         return [((_set_ctx("F", X, mask), _set_ctx("result", Y, img)), w)]
@@ -607,7 +606,7 @@ def _bijection(kind, *, in_cone=False):
     """Image and preimage are inverse bijections between the source's `kind`
     subsets containing the kernel (inside the cone, if asked) and the
     target's `kind` subsets; one counterexample per failing law."""
-    def conclusion(f: _MapFacts, cap):
+    def conclusion(f: _MapFacts):
         m, X, Y = f.m, f.m.source, f.m.target
         fam_x = f.source.bits(kind) & _supersets(X.n, f.ker)
         if in_cone:
@@ -639,21 +638,21 @@ def _bijection(kind, *, in_cone=False):
     return conclusion
 
 
-def _pairmap_ohom(p: _OhomPair, cap):
+def _pairmap_ohom(p: _OhomPair):
     if p.ohom:
         return ()
-    cls = classify(p.pm, witness_cap=cap)
+    cls = classify(p.pm, witness_cap=1)
     return [((), (cls.hom.witnesses or cls.omap.witnesses)[0])]
 
 
-def _product_kernel(p: _OhomPair, cap):
+def _product_kernel(p: _OhomPair):
     rhs = rectangle_mask(p.k1.mask, p.k2.mask, p.f2.source.n)
     if p.k.mask == rhs:
         return ()
     return [((), Subset(p.k.universe, p.k.mask ^ rhs).members())]
 
 
-def _product_kernel_projection(p: _OhomPair, cap):
+def _product_kernel_projection(p: _OhomPair):
     try:
         left, right = projection_kernels(p.source, p.k)
     except ShapeError:
@@ -663,7 +662,7 @@ def _product_kernel_projection(p: _OhomPair, cap):
     return ()
 
 
-def _ksets(p: _OhomPair, cap):
+def _ksets(p: _OhomPair):
     first, second, equal = k_upper_sets(p.k1, p.k2, p.f1, p.f2, source=p.source)
     unit_pair = p.source.pair_index(p.f1.source.unit, p.f2.source.unit)
     problems = []
@@ -691,11 +690,12 @@ class Claim(NamedTuple):
     or the ordered pairs of O-homomorphisms of a sweep.  An instance
     failing `hypothesis` is one skip; a HOM pass sees the homomorphisms
     only and counts every other map as a skip without building it.
-    Without `subsets`, `conclusion(instance, cap)` checks an instance; with
-    it, `subsets(instance)` gives (n, chosen) and `conclusion(instance,
-    mask, cap)` checks each subset mask in the bitset `chosen`, the other
-    masks of the n-element universe being skipped.  A conclusion returns
-    (extra context, witness) per violation.
+    Without `subsets`, `conclusion(instance)` checks an instance; with it,
+    `subsets(instance)` gives (n, chosen) and `conclusion(instance, mask)`
+    checks each subset mask in the bitset `chosen`, the other masks of the
+    n-element universe being skipped.  A conclusion returns (extra
+    context, witness) per violation, each naming the first witness of the
+    check that found it.
 
     `key`, given only without `subsets`, maps an instance to a hashable
     value that fixes whether the conclusion holds: instances with equal
@@ -731,7 +731,7 @@ CLAIMS: dict[str, Claim] = {
     # for every map with image I or for none.
     "P-kernel-alt": Claim(MAP, _always, _kernel_alt, key=lambda f: (f.j, f.image)),
     "P-closed-kernel": Claim(HOM, _closed_kernel_ohom, _closed_kernel),
-    "T-kernel-closed-converse": Claim(HOM, lambda f: _unit_ohom(f) and f.closed_kernel,
+    "T-kernel-closed-converse": Claim(HOM, lambda f: _unit_ohom(f) and f.closed_kernel.holds,
                                       _kernel_is(SUBALGEBRA, ORDERED_SUBALGEBRA)),
     "T-subalg-preimage": _preimages(_ohom, SUBALGEBRA),
     "T-subalg-image": _images(_surjective_ohom, SUBALGEBRA),
@@ -764,7 +764,7 @@ CLAIMS: dict[str, Claim] = {
 CLAIM_IDS = tuple(CLAIMS)
 
 
-def _check(claims, instances, cap, skipped=0):
+def _check(claims, instances, skipped=0):
     """Claims of one scope in one pass over its instances.
 
     A None instance, or one failing a claim's hypothesis, is one skip, as
@@ -785,11 +785,11 @@ def _check(claims, instances, cap, skipped=0):
             if subsets is None:
                 tally[0] += 1
                 if key is None:
-                    found = conclusion(inst, cap)
+                    found = conclusion(inst)
                 elif key(inst) in holding:
                     found = ()
                 else:
-                    found = conclusion(inst, cap)
+                    found = conclusion(inst)
                     if not found:
                         holding.add(key(inst))
             else:
@@ -798,13 +798,13 @@ def _check(claims, instances, cap, skipped=0):
                 tally[0] += count
                 tally[1] += (1 << n) - count
                 found = [v for mask in range(1 << n) if chosen >> mask & 1
-                         for v in conclusion(inst, mask, cap)]
+                         for v in conclusion(inst, mask)]
             for extra, witness in found:
                 tally[2].append(Counterexample(inst.context + extra, witness))
     return {c: tuple(t) for c, t in tallies.items()}
 
 
-def _check_maps(claims, pool, cap):
+def _check_maps(claims, pool):
     """The MAP claims over slice `pool.part` of every map, as `_check` would
     report them, without a loop over the maps.
 
@@ -825,7 +825,7 @@ def _check_maps(claims, pool, cap):
             reps = [_Map(_representative(widest, target, image), j)
                     for image in range(1, 1 << target.n) if image.bit_count() <= widest.n]
             failing[j] = {(c, CLAIMS[c].key(rep)) for c in claims for rep in reps
-                          if CLAIMS[c].conclusion(rep, cap)}
+                          if CLAIMS[c].conclusion(rep)}
         return failing[j]
 
     blocks = list(pool.map_blocks())
@@ -850,7 +850,7 @@ def _check_maps(claims, pool, cap):
                 if (claim, CLAIMS[claim].key(inst)) in failing[j]:
                     tallies[claim][2].extend(
                         Counterexample(inst.context + extra, witness)
-                        for extra, witness in CLAIMS[claim].conclusion(inst, cap))
+                        for extra, witness in CLAIMS[claim].conclusion(inst))
     return {c: tuple(t) for c, t in tallies.items()}
 
 
@@ -868,19 +868,16 @@ def _known(claim: str) -> str:
 
 
 def verify_claim(claim: str, *, sizes=None, fixtures=None, up_to_iso: bool = False,
-                 witness_cap: int | None = DEFAULT_WITNESS_CAP,
                  _pool: _Pool | None = None) -> SweepReport:
     """Machine-check one claim over the scope; see CLAIM_IDS for names."""
     _known(claim)
     pool = _pool if _pool is not None else _pool_for(sizes, fixtures, up_to_iso=up_to_iso)
-    checked, skipped, ces = pool.sweep(claim, witness_cap)
+    checked, skipped, ces = pool.sweep(claim)
     return SweepReport(claim, checked, skipped, tuple(ces))
 
 
 def verify_all(claims=CLAIM_IDS, *, sizes=None, fixtures=None,
-               up_to_iso: bool = False,
-               witness_cap: int | None = DEFAULT_WITNESS_CAP,
-               jobs: int = 1) -> list[SweepReport]:
+               up_to_iso: bool = False, jobs: int = 1) -> list[SweepReport]:
     """Run several claims over one shared scope, split into `jobs` parts.
 
     Each part (see `_run_part`) builds its own pool; with jobs > 1 every
@@ -891,7 +888,7 @@ def verify_all(claims=CLAIM_IDS, *, sizes=None, fixtures=None,
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     claims = tuple(_known(c) for c in claims)
-    args = (claims, (sizes, fixtures, up_to_iso), witness_cap)
+    args = (claims, (sizes, fixtures, up_to_iso))
     parts = [_run_part(*args, 0, 1)] if jobs == 1 else _run_in_workers(args, jobs)
     return [SweepReport(c, sum(r.instances_checked for r in reports),
                         sum(r.hypothesis_skipped for r in reports),
@@ -899,7 +896,7 @@ def verify_all(claims=CLAIM_IDS, *, sizes=None, fixtures=None,
             for c, *reports in zip(claims, *parts)]
 
 
-def _run_part(claims, scope, witness_cap, k, parts):
+def _run_part(claims, scope, k, parts):
     """Part k of `parts`: each claim's report over slice k of every pass
     (algebras, maps, first factors of the O-hom pairs), in claim order.
     It builds the pool only if it has a claim."""
@@ -911,7 +908,7 @@ def _run_part(claims, scope, witness_cap, k, parts):
     pool.part = (k, parts)
     # Through verify_claim, one call per claim, so that claim-level hooks
     # (timing, tracing) see each claim in every part.
-    return [verify_claim(c, witness_cap=witness_cap, _pool=pool) for c in claims]
+    return [verify_claim(c, _pool=pool) for c in claims]
 
 
 def _run_in_workers(args, jobs):

@@ -94,18 +94,10 @@ def direct_product(x1: RawStructure, x2: RawStructure, *,
     return product, report
 
 
-def pair_map(f1: Mapping, f2: Mapping, *,
-             source: ProductAlgebra | None = None,
-             target: ProductAlgebra | None = None) -> Mapping:
+def pair_map(f1: Mapping, f2: Mapping) -> Mapping:
     """The componentwise map (x1, x2) |-> (f1(x1), f2(x2)) between products."""
-    if source is None:
-        source = ProductAlgebra.of(f1.source, f2.source)
-    if target is None:
-        target = ProductAlgebra.of(f1.target, f2.target)
-    if (source.left, source.right) != (f1.source, f2.source):
-        raise UniverseMismatchError("pair_map: source product does not match the maps")
-    if (target.left, target.right) != (f1.target, f2.target):
-        raise UniverseMismatchError("pair_map: target product does not match the maps")
+    source = ProductAlgebra.of(f1.source, f2.source)
+    target = ProductAlgebra.of(f1.target, f2.target)
     name = f"{f1.name or 'f1'}x{f2.name or 'f2'}"
     return Mapping(source.combined, target.combined, _pair_entries(f1, f2), name)
 

@@ -14,8 +14,6 @@ SEM and Mace4, without their propagation.
 
 from __future__ import annotations
 
-from .core import BudgetError
-
 
 def _fails(rng: range, op: list[list], cone: list[bool]) -> bool:
     """True when an axiom instance reading only assigned cells fails.
@@ -93,15 +91,3 @@ def valid_tables(n: int) -> list[tuple[tuple[int, ...], int]]:
         fill(0)
     return results
 
-
-def candidate_count(n: int) -> int:
-    """Size of the pruned scan space for carrier size n."""
-    return (1 << (n - 1)) * n ** (n * (n - 1))
-
-
-def check_budget(n: int, budget: int | None) -> None:
-    if budget is not None and candidate_count(n) > budget:
-        raise BudgetError(
-            f"scan space for size {n} has {candidate_count(n)} candidates, "
-            f"exceeding the budget of {budget}"
-        )

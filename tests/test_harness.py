@@ -19,7 +19,7 @@ from obci import harness, morphisms, scan
 from obci.core import BudgetError, check_derived_identities
 from obci.harness import CLAIM_IDS
 from obci.morphisms import classify, identity_map, image_mask
-from obci.substructures import is_filter
+from obci.substructures import Atlas, is_filter
 
 
 def test_enumeration_counts():
@@ -219,7 +219,7 @@ def _patch_conclusion(monkeypatch, claim, conclusion):
                         harness.CLAIMS[claim]._replace(conclusion=conclusion))
 
 
-def _fails(instance, cap):
+def _fails(instance):
     return [((), ("fails",))]
 
 
@@ -249,11 +249,11 @@ def test_parallel_counterexamples_keep_map_and_algebra_order(monkeypatch):
                           jobs=jobs) == serial
 
 
-def _exit_worker(pair, cap):
+def _exit_worker(pair):
     os._exit(3)
 
 
-def _raise(pair, cap):
+def _raise(pair):
     raise ZeroDivisionError("check failed")
 
 
@@ -287,13 +287,13 @@ def test_keyed_claims_are_the_kernel_product_claims_and_kernel_alt():
         ["P-kernel-alt", *_KERNEL_CLAIMS]
 
 
-def _unkeyed(claim, instances, cap=None):
+def _unkeyed(claim, instances):
     """What `_check` must report for an always-hypothesis claim: its
     conclusion called on every instance."""
     conclusion = harness.CLAIMS[claim].conclusion
     return (len(instances), 0,
             [harness.Counterexample(inst.context + extra, witness)
-             for inst in instances for extra, witness in conclusion(inst, cap)])
+             for inst in instances for extra, witness in conclusion(inst)])
 
 
 def _grouped(instances, key, facts):
@@ -325,7 +325,7 @@ def test_kernel_claim_keys_fix_what_the_conclusions_read(scope):
     assert len(groups) < len(pairs)  # the memo has work to save
     assert all(len(facts) == 1 for facts in groups.values())
     for claim in _KERNEL_CLAIMS:
-        assert harness._check([claim], pairs, None)[claim] == _unkeyed(claim, pairs)
+        assert harness._check([claim], pairs)[claim] == _unkeyed(claim, pairs)
 
 
 def _every_map(pool):
@@ -343,11 +343,11 @@ def test_kernel_alt_key_fixes_what_the_conclusion_reads():
                                  image_mask(f.m, harness.kernel_alt(f.m).mask)))
     assert len(groups) == 49  # every non-empty subset of each of the 9 targets
     assert all(len(facts) == 1 for facts in groups.values())
-    assert harness._check_maps(["P-kernel-alt"], pool, None)["P-kernel-alt"] == \
+    assert harness._check_maps(["P-kernel-alt"], pool)["P-kernel-alt"] == \
         _unkeyed("P-kernel-alt", maps)
 
 
-def _fails_on_unit_and_one_more(f, cap):
+def _fails_on_unit_and_one_more(f):
     """Fails on the maps whose image is the unit and one other element, a
     verdict the key (target, image set) fixes; the witness is the table."""
     return [((), f.m.table)] if f.image & 1 and f.image.bit_count() == 2 else ()
@@ -361,7 +361,7 @@ def test_map_pass_names_the_maps_of_failing_keys_in_map_order(monkeypatch, parts
     checked, skipped, ces = 0, 0, []
     for k in range(parts):
         pool.part = (k, parts)
-        c, s, found = harness._check_maps(["P-kernel-alt"], pool, None)["P-kernel-alt"]
+        c, s, found = harness._check_maps(["P-kernel-alt"], pool)["P-kernel-alt"]
         checked, skipped, ces = checked + c, skipped + s, ces + found
     expected = _unkeyed("P-kernel-alt", maps)
     assert (checked, skipped, ces) == expected
@@ -379,14 +379,13 @@ def test_pairs_differing_only_in_the_pair_kernel_get_their_own_verdicts():
     assert fake.kernels[:4] == real.kernels[:4] and fake.k.mask != real.k.mask
     for claim in _KERNEL_CLAIMS:
         conclusion = harness.CLAIMS[claim].conclusion
-        assert not conclusion(real, None) and conclusion(fake, None)
+        assert not conclusion(real) and conclusion(fake)
         for instances in ([real, fake], [fake, real], [real, fake, real, fake]):
-            assert harness._check([claim], instances, None)[claim] == \
+            assert harness._check([claim], instances)[claim] == \
                 _unkeyed(claim, instances)
 
 
-@pytest.mark.parametrize("cap", [None, 1, 32])
-def test_pairmap_ohom_names_the_classify_witness_of_a_fabricated_pair(cap):
+def test_pairmap_ohom_names_the_classify_witness_of_a_fabricated_pair():
     pool = harness._pool_for(sizes=(1, 2))
     real = next(p for p in harness._ohom_pairs(pool)
                 if p is not None and p.target.combined.n > 1)
@@ -398,13 +397,27 @@ def test_pairmap_ohom_names_the_classify_witness_of_a_fabricated_pair(cap):
     table = bytes(table)
     fake = harness._OhomPair.decided(*real.kernels[:2], real.f1, real.f2, real.k1,
                                      real.k2, real.source, real.target, table)
-    assert real.ohom and harness._pairmap_ohom(real, cap) == ()
-    cls = classify(fake.pm, witness_cap=cap)
+    assert real.ohom and harness._pairmap_ohom(real) == ()
+    # the first witness of an uncapped classification
+    cls = classify(fake.pm, witness_cap=None)
     assert not cls.is_hom and not fake.ohom
     assert fake.pm.table == tuple(table)
-    assert harness._pairmap_ohom(fake, cap) == [((), cls.hom.witnesses[0])]
-    assert harness._check(["T-pairmap-ohom"], [real, fake], cap)["T-pairmap-ohom"] == \
+    assert harness._pairmap_ohom(fake) == [((), cls.hom.witnesses[0])]
+    assert harness._check(["T-pairmap-ohom"], [real, fake])["T-pairmap-ohom"] == \
         (2, 0, [harness.Counterexample(fake.context, cls.hom.witnesses[0])])
+
+
+def test_witness_names_the_first_witness_of_a_failing_subset_check():
+    failing = 0
+    for a in enumerate_obci(2):
+        s, atlas = a.structure, Atlas.of(a.structure)
+        for mask in range(1 << s.n):
+            # the first witness of an uncapped check
+            report = is_filter(s, Subset(s, mask), witness_cap=None)
+            expected = None if report.holds else report.witnesses[0]
+            assert harness._witness(harness.FILTER, atlas, s, mask) == expected
+            failing += not report.holds
+    assert failing
 
 
 def test_map_pass_classifies_each_hom_once_and_no_other_map(monkeypatch):

@@ -107,12 +107,6 @@ def test_pair_map_beyond_a_byte(blank):
     assert classify(pm).is_ohom
 
 
-def test_pair_map_universe_check():
-    wrong = ProductAlgebra(ea, exy, product_structure(ea, exy))
-    with pytest.raises(UniverseMismatchError):
-        pair_map(exy_id, exy_to_ea, source=wrong)
-
-
 def test_direct_product_kernel_componentwise():
     k = direct_product_kernel(d2c, exy_to_ea)
     # {1, e} x {e, x} in row-major indices over a 4 x 3 product

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from obci import scan
-from obci.core import AXIOM_IDS, BudgetError, RawStructure, check_axiom, order_from_cone
+from obci.core import AXIOM_IDS, RawStructure, check_axiom, order_from_cone
 
 
 GOLDEN_COUNTS = {1: 1, 2: 2, 3: 10}
@@ -59,13 +59,6 @@ def test_scan_results_have_identity_unit_row_and_unit_in_cone():
     for flat, cone_mask in scan.valid_tables(3):
         assert flat[:3] == (0, 1, 2)
         assert cone_mask & 1
-
-
-def test_budget_guard():
-    assert scan.candidate_count(2) == 4 * 2
-    scan.check_budget(4, 200_000_000)
-    with pytest.raises(BudgetError):
-        scan.check_budget(5, 200_000_000)
 
 
 def test_rejects_empty_carrier():
