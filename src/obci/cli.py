@@ -23,6 +23,7 @@ import sys
 from . import fixtures as fixture_lib
 from . import harness
 from .core import (
+    DEFAULT_WITNESS_CAP,
     BudgetError,
     CheckReport,
     PreconditionError,
@@ -323,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "machine"), default="text",
                         help="output format (machine is line-oriented and stable)")
-    parser.add_argument("--witness-cap", type=int, default=32, metavar="N",
-                        help="max witnesses listed per law (default 32)")
+    parser.add_argument("--witness-cap", type=int, default=DEFAULT_WITNESS_CAP, metavar="N",
+                        help=f"max witnesses listed per law (default {DEFAULT_WITNESS_CAP})")
     parser.add_argument("--exhaustive", action="store_true",
                         help="list every witness (no cap)")
     sub = parser.add_subparsers(dest="command", required=True)

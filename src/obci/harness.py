@@ -23,21 +23,24 @@ and preimages are mask arithmetic over the map's table.  A predicate
 itself runs again only to name the witness of a failure the atlas shows.
 
 The claims a sweep asks for are checked in one pass per scope: over the
-algebras; over the homomorphisms, which the backtracking search
-`morphisms.enumerate_homs` finds without building the other maps, working
-out each one's class, kernel, surjectivity, unit preservation and
-reflection once; over every map, for `P-kernel-alt`; and over the
-O-homomorphism pairs, building each product once and, per pair, only the
-pair map's byte table, on which both morphism laws are decided cell by
-cell and the pair kernel is read (`morphisms.decide_laws`); the pair map
-itself is built only to name a witness.  Every claim of the hom pass
-asks for an O-homomorphism, so each other map is one skip for it, counted
-by arithmetic: the number of maps less the number of homs.  With `jobs=J`
-the sweep is cut into J fixed parts, each run by a worker process that
-builds the pool once: part k takes the contiguous slice k of every pass
-(the algebras, the homs, the maps, and the first factors of the pairs),
-part 0 counts the skipped maps, and the parent adds each claim's partial
-reports up in k order, so counterexamples stay in pass order.
+algebras; over the O-homomorphisms, working out each one's surjectivity,
+unit preservation and reflection once; over every map, for
+`P-kernel-alt`; and over the O-homomorphism pairs, building each product
+once and, per pair, only the pair map's byte table, on which both
+morphism laws are decided cell by cell and the pair kernel is read
+(`morphisms.decide_laws`); the pair map itself is built only to name a
+witness.  Both O-hom passes read one list, `_Pool.ohoms`: the
+homomorphisms the backtracking search `morphisms.enumerate_homs` finds
+without building the other maps, each classified and its kernel taken
+once.  Every claim of the O-hom pass asks for an O-homomorphism, so each
+other map is one skip for it, counted by arithmetic: the number of maps
+less the number of O-homs.  With `jobs=J` the sweep is cut into J fixed
+parts, each run by a worker process that builds the pool once: part k
+takes the contiguous slice k of the algebras, of the O-homs and of the
+pairs' first factors; part 0 also runs the map pass whole (it walks maps
+only under a failing key) and counts the skipped maps; and the parent
+adds each claim's partial reports up in k order, so counterexamples stay
+in pass order.
 
 A claim whose verdict reads only a small part of its instance carries a
 key: a hashable value fixing whether the conclusion holds.  A pass
@@ -199,17 +202,12 @@ def enumerate_obci_naive(n: int):
 
 # --- quantification pool ---------------------------------------------------
 
-def _bounds(n: int, part) -> tuple[int, int]:
-    """Bounds of slice k of range(n) cut into `parts` contiguous slices."""
-    k, parts = part
-    return k * n // parts, (k + 1) * n // parts
-
-
 class _Pool:
-    """Algebras and classified maps a sweep quantifies over: the
-    homomorphisms between pool algebras, or the explicit fixture maps.  The
-    other maps are counted, not built (`unclassified`), and `P-kernel-alt`
-    is decided per (target, image set) from `map_blocks` (`_check_maps`)."""
+    """Algebras and maps a sweep quantifies over: every map between pool
+    algebras, or the explicit fixture maps (`map_blocks`), from which
+    `_check_maps` decides `P-kernel-alt` per (target, image set); and the
+    O-homomorphisms among them (`ohoms`), the one list the O-hom pass and
+    the pair pass read.  The other maps are counted, not built."""
 
     def __init__(self, algebras: list[ValidatedAlgebra],
                  fixture_maps: list[Mapping] | None = None):
@@ -241,61 +239,65 @@ class _Pool:
             for j, b in enumerate(self.algebras):
                 yield i, j, b.n ** a.n, enumerate_maps(a.structure, b.structure)
 
-    @cached_property
-    def classified(self) -> list[tuple]:
-        """(i, j, map, class) for every map the pool classifies, in map
-        order: each homomorphism between pool algebras, or each fixture map
-        (i and j as in `map_blocks`)."""
+    def homs(self):
+        """(i, j, map) for every map among which the homomorphisms of the
+        scope lie, in map order, unclassified: each homomorphism between pool
+        algebras, found by `enumerate_homs`, or each fixture map (i and j as
+        in `map_blocks`)."""
         if self.fixture_maps is not None:
-            return [(self._position.get(m.source), self._position.get(m.target), m,
-                     classify(m)) for m in self.fixture_maps]
-        return [(i, j, m, classify(m)) for i, a in enumerate(self.algebras)
+            return ((self._position.get(m.source), self._position.get(m.target), m)
+                    for m in self.fixture_maps)
+        return ((i, j, m) for i, a in enumerate(self.algebras)
                 for j, b in enumerate(self.algebras)
-                for m in enumerate_homs(a.structure, b.structure)]
+                for m in enumerate_homs(a.structure, b.structure))
 
-    def ohoms(self):
-        """(source index, target index, map) for every O-homomorphism
-        between pool algebras, in map order."""
-        return [(i, j, m) for i, j, m, cls in self.classified
-                if i is not None and j is not None and cls.is_ohom]
+    @cached_property
+    def ohoms(self) -> list[tuple]:
+        """(i, j, map, kernel) for every O-homomorphism between pool
+        algebras, in map order: each map of `homs` with both endpoints in
+        the pool that `classify` calls an O-hom, classified once."""
+        return [(i, j, m, kernel(m)) for i, j, m in self.homs()
+                if i is not None and j is not None and classify(m).is_ohom]
+
+    def part_of(self, items):
+        """Slice k of `items` cut into `parts` contiguous slices, for
+        `part` = (k, parts)."""
+        k, parts = self.part
+        return items[k * len(items) // parts:(k + 1) * len(items) // parts]
 
     def instances(self, scope: str):
-        """The instances of a scope other than MAP in slice `part`, in
-        order; None stands for one every claim skips (an endpoint or a
-        product that is no algebra).  The MAP pass reads `map_blocks`."""
+        """The instances of the ALGEBRA or OHOM pass in slice `part`, or the
+        pairs whose first factor lies in it, in order (see `_ohom_pairs`).
+        The MAP pass reads `map_blocks`."""
         if scope == ALGEBRA:
-            lo, hi = _bounds(len(self.algebras), self.part)
-            return (_AlgebraFacts(self.algebras[i], self.atlas[i]) for i in range(lo, hi))
-        if scope == HOM:
-            lo, hi = _bounds(len(self.classified), self.part)
-            return (None if i is None or j is None
-                    else _MapFacts(m, cls, self.atlas[i], self.atlas[j])
-                    for i, j, m, cls in self.classified[lo:hi])
+            return (_AlgebraFacts(self.algebras[i], self.atlas[i])
+                    for i in self.part_of(range(len(self.algebras))))
+        if scope == OHOM:
+            return (_MapFacts(m, ker.mask, self.atlas[i], self.atlas[j])
+                    for i, j, m, ker in self.part_of(self.ohoms))
         return _ohom_pairs(self)
-
-    def unclassified(self) -> int:
-        """The maps between pool algebras the map pass never sees, each a
-        skip for every HOM claim: those that are not homomorphisms.  Part 0
-        counts them, so that the parts add up to each once."""
-        if self.part[0]:
-            return 0
-        return sum(count for _, _, count, _ in self.map_blocks()) - len(self.classified)
 
     def sweep(self, claim: str):
         """One claim's (checked, skipped, counterexamples) over slice `part`.
 
         The first request for a scope checks it together with the other
         `claims` of that scope in one pass; later requests read the result.
+        Part 0 runs the map pass whole and counts each map the O-hom pass
+        never sees as one skip, so that the parts add up to each once.
         """
         if claim not in self._results:
             scope = CLAIMS[claim].scope
             claims = [c for c in dict.fromkeys((claim, *self.claims))
                       if CLAIMS[c].scope == scope]
+            first = self.part[0] == 0
             if scope == MAP:
-                self._results.update(_check_maps(claims, self))
+                results = _check_maps(claims, self) if first else _check(claims, ())
             else:
-                skipped = self.unclassified() if scope == HOM else 0
-                self._results.update(_check(claims, self.instances(scope), skipped))
+                unseen = 0
+                if scope == OHOM and first:
+                    unseen = sum(count for _, _, count, _ in self.map_blocks()) - len(self.ohoms)
+                results = _check(claims, self.instances(scope), unseen)
+            self._results.update(results)
         return self._results[claim]
 
 
@@ -374,17 +376,15 @@ class _Map(NamedTuple):
 
 
 class _MapFacts:
-    """One classified map between pool algebras and the facts its claims
-    read, each worked out at most once.  The laws that require an
-    O-homomorphism are reached through their unguarded bodies: the pool has
-    classified the map, and the hypotheses ask them of O-homomorphisms
-    only."""
+    """One O-homomorphism between pool algebras, its kernel mask read off
+    `_Pool.ohoms`, and the facts its claims read, each worked out at most
+    once.  The laws that require an O-homomorphism are reached through their
+    unguarded bodies: the pool has classified the map."""
 
-    def __init__(self, m: Mapping, cls, source: Atlas, target: Atlas):
+    def __init__(self, m: Mapping, ker: int, source: Atlas, target: Atlas):
         self.m = m
-        self.ohom = cls.is_ohom
         self.source, self.target = source, target  # the endpoints' atlases
-        self.ker = kernel(m).mask
+        self.ker = ker
         self.surjective = m.is_surjective()
         self.unit = m.preserves_unit()
 
@@ -394,8 +394,7 @@ class _MapFacts:
 
     @cached_property
     def closed_kernel(self) -> CheckReport:
-        """The closed-kernel condition, with its first witness; asked of
-        O-homomorphisms only."""
+        """The closed-kernel condition, with its first witness."""
         return _closed_kernel_condition(self.m, 1)
 
     @property
@@ -456,8 +455,8 @@ class _OhomPair(NamedTuple):
 
 def _ohom_pairs(pool: _Pool):
     """The ordered pairs of O-homs whose first factor lies in slice
-    `pool.part` of the O-homs, in pair order; None for a pair whose source
-    or target product is no algebra.
+    `pool.part` of `pool.ohoms`, in pair order; None for a pair whose
+    source or target product is no algebra.
 
     Each first factor is walked against the blocks of second factors that
     share a (source, target), in order, so both products are looked up
@@ -466,10 +465,8 @@ def _ohom_pairs(pool: _Pool):
     streamed, never stored.  Per pair only the table of the pair map is
     built, and `_OhomPair.decided` decides its laws and reads its kernel.
     """
-    ohoms = [(i, j, f, kernel(f)) for i, j, f in pool.ohoms()]
-    lo, hi = _bounds(len(ohoms), pool.part)
     blocks = [(s2, t2, [(f2, k2) for _, _, f2, k2 in block])
-              for (s2, t2), block in itertools.groupby(ohoms, key=lambda o: o[:2])]
+              for (s2, t2), block in itertools.groupby(pool.ohoms, key=lambda o: o[:2])]
     products = {}
 
     def product_of(i1, i2, left, right):
@@ -478,7 +475,7 @@ def _ohom_pairs(pool: _Pool):
             products[key] = direct_product(left, right, witness_cap=0)
         return products[key]
 
-    for s1, t1, f1, k1 in ohoms[lo:hi]:
+    for s1, t1, f1, k1 in pool.part_of(pool.ohoms):
         for s2, t2, block in blocks:
             g = block[0][0]  # any second factor of the block
             src, src_report = product_of(s1, s2, f1.source, g.source)
@@ -496,27 +493,23 @@ def _always(instance):
     return True
 
 
-def _ohom(f: _MapFacts):
-    return f.ohom
+def _unit(f: _MapFacts):
+    return f.unit
 
 
-def _unit_ohom(f: _MapFacts):
-    return f.ohom and f.unit
+def _surjective(f: _MapFacts):
+    return f.surjective
 
 
-def _surjective_ohom(f: _MapFacts):
-    return f.ohom and f.surjective
+def _surjective_unit(f: _MapFacts):
+    return f.surjective and f.unit
 
 
-def _surjective_unit_ohom(f: _MapFacts):
-    return f.ohom and f.surjective and f.unit
-
-
-def _closed_kernel_ohom(f: _MapFacts):
+def _kernel_is_closed(f: _MapFacts):
     """ker is closed (a subalgebra) or ordered-closed (an ordered
     subalgebra in the cone)."""
-    return f.ohom and bool((f.source.subalgebra
-                            | f.source.ordered_subalgebra & f.source.cone) >> f.ker & 1)
+    return bool((f.source.subalgebra
+                 | f.source.ordered_subalgebra & f.source.cone) >> f.ker & 1)
 
 
 # --- conclusions: instance -> [(extra context, witness)] ------------------------
@@ -576,7 +569,7 @@ def _preimages(hypothesis, kind) -> Claim:
             return ()
         return [((_set_ctx("G", Y, g), _set_ctx("result", X, pre)), w)]
 
-    return Claim(HOM, hypothesis, conclusion, subsets)
+    return Claim(OHOM, hypothesis, conclusion, subsets)
 
 
 def _images(hypothesis, kind, *, in_cone=False, above_kernel=False) -> Claim:
@@ -599,7 +592,7 @@ def _images(hypothesis, kind, *, in_cone=False, above_kernel=False) -> Claim:
             return ()
         return [((_set_ctx("F", X, mask), _set_ctx("result", Y, img)), w)]
 
-    return Claim(HOM, hypothesis, conclusion, subsets)
+    return Claim(OHOM, hypothesis, conclusion, subsets)
 
 
 def _bijection(kind, *, in_cone=False):
@@ -679,17 +672,17 @@ def _ksets(p: _OhomPair):
 
 _kernels = attrgetter("kernels")
 
-ALGEBRA, MAP, HOM, PAIR = "algebra", "map", "hom", "pair"
+ALGEBRA, MAP, OHOM, PAIR = "algebra", "map", "ohom", "pair"
 
 
 class Claim(NamedTuple):
     """A claim as data.
 
     `scope` names what it quantifies over: the algebras, every map (MAP),
-    the maps of which only the homomorphisms can pass the hypothesis (HOM),
-    or the ordered pairs of O-homomorphisms of a sweep.  An instance
-    failing `hypothesis` is one skip; a HOM pass sees the homomorphisms
-    only and counts every other map as a skip without building it.
+    the O-homomorphisms (OHOM), or the ordered pairs of O-homomorphisms of
+    a sweep.  An instance failing `hypothesis` is one skip; an OHOM pass
+    sees the O-homomorphisms only and counts every other map as a skip
+    without building it.
     Without `subsets`, `conclusion(instance)` checks an instance; with it,
     `subsets(instance)` gives (n, chosen) and `conclusion(instance, mask)`
     checks each subset mask in the bitset `chosen`, the other masks of the
@@ -724,32 +717,32 @@ CLAIMS: dict[str, Claim] = {
     "P-ordfilter-is-filter": Claim(
         ALGEBRA, _always, _ordfilter_is_filter,
         lambda f: (f.algebra.n, f.atlas.ordered_filter & f.atlas.cone)),
-    "P-monotone": Claim(HOM, _ohom, _monotone),
+    "P-monotone": Claim(OHOM, _always, _monotone),
     # `kernel` and `kernel_alt` are the preimages, under the map, of target
     # sets fixed by the target and the image set I: the cone meeting I, and
     # {v in I : some u in I has e <= u and e <= u->v}.  The two are equal
     # for every map with image I or for none.
     "P-kernel-alt": Claim(MAP, _always, _kernel_alt, key=lambda f: (f.j, f.image)),
-    "P-closed-kernel": Claim(HOM, _closed_kernel_ohom, _closed_kernel),
-    "T-kernel-closed-converse": Claim(HOM, lambda f: _unit_ohom(f) and f.closed_kernel.holds,
+    "P-closed-kernel": Claim(OHOM, _kernel_is_closed, _closed_kernel),
+    "T-kernel-closed-converse": Claim(OHOM, lambda f: f.unit and f.closed_kernel.holds,
                                       _kernel_is(SUBALGEBRA, ORDERED_SUBALGEBRA)),
-    "T-subalg-preimage": _preimages(_ohom, SUBALGEBRA),
-    "T-subalg-image": _images(_surjective_ohom, SUBALGEBRA),
-    "T-ordsubalg-preimage": _preimages(_ohom, ORDERED_SUBALGEBRA),
-    "T-ordsubalg-image-cone": _images(_surjective_ohom, ORDERED_SUBALGEBRA, in_cone=True),
-    "T-ordsubalg-image-reflect": _images(lambda f: _surjective_ohom(f) and f.reflects,
+    "T-subalg-preimage": _preimages(_always, SUBALGEBRA),
+    "T-subalg-image": _images(_surjective, SUBALGEBRA),
+    "T-ordsubalg-preimage": _preimages(_always, ORDERED_SUBALGEBRA),
+    "T-ordsubalg-image-cone": _images(_surjective, ORDERED_SUBALGEBRA, in_cone=True),
+    "T-ordsubalg-image-reflect": _images(lambda f: f.surjective and f.reflects,
                                          ORDERED_SUBALGEBRA),
-    "T-kernel-filter": Claim(HOM, _ohom, _kernel_is(FILTER)),
-    "T-kernel-ordfilter": Claim(HOM, _ohom, _kernel_is(ORDERED_FILTER)),
-    "T-filter-preimage": _preimages(_unit_ohom, FILTER),
-    "T-filter-image": _images(_surjective_unit_ohom, FILTER),
-    "T-ordfilter-preimage": _preimages(_unit_ohom, ORDERED_FILTER),
-    "T-ordfilter-image-reflect": _images(lambda f: _surjective_unit_ohom(f) and f.reflects,
+    "T-kernel-filter": Claim(OHOM, _always, _kernel_is(FILTER)),
+    "T-kernel-ordfilter": Claim(OHOM, _always, _kernel_is(ORDERED_FILTER)),
+    "T-filter-preimage": _preimages(_unit, FILTER),
+    "T-filter-image": _images(_surjective_unit, FILTER),
+    "T-ordfilter-preimage": _preimages(_unit, ORDERED_FILTER),
+    "T-ordfilter-image-reflect": _images(lambda f: _surjective_unit(f) and f.reflects,
                                          ORDERED_FILTER),
-    "T-ordfilter-image-kercone": _images(_surjective_unit_ohom, ORDERED_FILTER,
+    "T-ordfilter-image-kercone": _images(_surjective_unit, ORDERED_FILTER,
                                          in_cone=True, above_kernel=True),
-    "T-filter-bijection": Claim(HOM, _surjective_unit_ohom, _bijection(FILTER)),
-    "T-ordfilter-bijection": Claim(HOM, _surjective_unit_ohom,
+    "T-filter-bijection": Claim(OHOM, _surjective_unit, _bijection(FILTER)),
+    "T-ordfilter-bijection": Claim(OHOM, _surjective_unit,
                                    _bijection(ORDERED_FILTER, in_cone=True)),
     # Over pairs whose source and target products are both algebras; the
     # kernel claims are keyed by `_OhomPair.kernels`, the pair map's own
@@ -805,15 +798,15 @@ def _check(claims, instances, skipped=0):
 
 
 def _check_maps(claims, pool):
-    """The MAP claims over slice `pool.part` of every map, as `_check` would
-    report them, without a loop over the maps.
+    """The MAP claims over every map, as `_check` would report them, without
+    a loop over the maps.
 
-    The slice is cut from the maps in map order, block by block (see
-    `_Pool.map_blocks`); every map of a block between pool algebras counts
-    as checked.  Each claim is decided once per key (target, image set I),
-    on a representative map into the target from the pool's largest
-    algebra.  A block is walked, in map order, only when a key of its
-    target fails, and then only to name each map whose key failed.
+    Every map of a block between pool algebras (see `_Pool.map_blocks`)
+    counts as checked, every other map as skipped.  Each claim is decided
+    once per key (target, image set I), on a representative map into the
+    target from the pool's largest algebra.  A block is walked, in map
+    order, only when a key of its target fails, and then only to name each
+    map whose key failed.
     """
     tallies = {c: [0, 0, []] for c in claims}
     widest = max((a.structure for a in pool.algebras), key=attrgetter("n"), default=None)
@@ -828,23 +821,16 @@ def _check_maps(claims, pool):
                           if CLAIMS[c].conclusion(rep)}
         return failing[j]
 
-    blocks = list(pool.map_blocks())
-    lo, hi = _bounds(sum(count for _, _, count, _ in blocks), pool.part)
-    for i, j, count, maps in blocks:
-        start, stop = max(lo, 0), min(hi, count)  # relative to the block
-        lo -= count
-        hi -= count
-        if start >= stop:
-            continue
+    for i, j, count, maps in pool.map_blocks():
         if i is None or j is None:
             for claim in claims:
-                tallies[claim][1] += stop - start
+                tallies[claim][1] += count
             continue
         for claim in claims:
-            tallies[claim][0] += stop - start
+            tallies[claim][0] += count
         if not failing_at(j):
             continue
-        for m in itertools.islice(maps, start, stop):
+        for m in maps:
             inst = _Map(m, j)
             for claim in claims:
                 if (claim, CLAIMS[claim].key(inst)) in failing[j]:
@@ -897,9 +883,9 @@ def verify_all(claims=CLAIM_IDS, *, sizes=None, fixtures=None,
 
 
 def _run_part(claims, scope, k, parts):
-    """Part k of `parts`: each claim's report over slice k of every pass
-    (algebras, maps, first factors of the O-hom pairs), in claim order.
-    It builds the pool only if it has a claim."""
+    """Part k of `parts`: each claim's report over slice k of the algebras,
+    the O-homs and the O-hom pairs' first factors, and in part 0 over every
+    map, in claim order.  It builds the pool only if it has a claim."""
     if not claims:
         return []
     sizes, fixtures, up_to_iso = scope
@@ -979,16 +965,16 @@ def find_counterexample(query: str, *, sizes=None, fixtures=None,
     """First witness for a separating-example query or a claim id."""
     if query in SEARCH_QUERIES:
         pool = _pool_for(sizes, fixtures, up_to_iso=up_to_iso)
-        if query == "hom-not-omap":  # the pool classifies every hom of its scope
-            return next((Counterexample(_ctx(m), cls.omap.witnesses[0])
-                         for _, _, m, cls in pool.classified
-                         if cls.is_hom and not cls.is_omap), None)
-        # such a map is no hom, so every map is walked
-        for *_, maps in pool.map_blocks():
-            for m in maps:
-                cls = classify(m)
-                if cls.is_omap and not cls.is_hom:
-                    return Counterexample(_ctx(m), cls.hom.witnesses[0])
+        if query == "hom-not-omap":  # such a map is a hom, so only homs are walked
+            maps = (m for _, _, m in pool.homs())
+        else:  # such a map is no hom, so every map is walked
+            maps = (m for *_, block in pool.map_blocks() for m in block)
+        for m in maps:
+            cls = classify(m)
+            if query == "hom-not-omap" and cls.is_hom and not cls.is_omap:
+                return Counterexample(_ctx(m), cls.omap.witnesses[0])
+            if query == "omap-not-hom" and cls.is_omap and not cls.is_hom:
+                return Counterexample(_ctx(m), cls.hom.witnesses[0])
         return None
     if query in CLAIM_IDS:
         report = verify_claim(query, sizes=sizes, fixtures=fixtures,

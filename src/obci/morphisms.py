@@ -49,12 +49,7 @@ class Mapping:
                 f"map {self.name!r}: table has {len(self.table)} entries "
                 f"for a carrier of size {self.source.n}"
             )
-        # The same check at C speed; the loop below only names the bad entry.
-        table = self.table
-        if (all(map(isinstance, table, itertools.repeat(int)))
-                and 0 <= min(table) and max(table) < self.target.n):
-            return
-        for i, v in enumerate(table):
+        for i, v in enumerate(self.table):
             if not isinstance(v, int) or not 0 <= v < self.target.n:
                 raise StructureError(f"map {self.name!r}: bad image at {i}: {v!r}")
 

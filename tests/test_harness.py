@@ -235,8 +235,8 @@ def test_parallel_counterexamples_keep_pair_order(monkeypatch):
 
 @_FORK_ONLY
 def test_parallel_counterexamples_keep_map_and_algebra_order(monkeypatch):
-    # 23 maps between the three algebras of sizes 1-2, in blocks of 1, 2
-    # and 4: the slices for jobs 2 and 3 cut through blocks
+    # 23 maps between the three algebras of sizes 1-2, all named by part 0,
+    # which runs the map pass whole; the three algebras are sliced
     _patch_conclusion(monkeypatch, "P-kernel-alt", _fails)
     _patch_conclusion(monkeypatch, "P-identities", _fails)
     serial = verify_all(_MIXED_CLAIMS + ("P-kernel-alt",), sizes=(1, 2))
@@ -356,16 +356,15 @@ def _fails_on_unit_and_one_more(f):
 @pytest.mark.parametrize("parts", [1, 2, 3])
 def test_map_pass_names_the_maps_of_failing_keys_in_map_order(monkeypatch, parts):
     _patch_conclusion(monkeypatch, "P-kernel-alt", _fails_on_unit_and_one_more)
-    pool = harness._pool_for(sizes=(1, 2, 3), up_to_iso=True)
-    maps = _every_map(pool)
-    checked, skipped, ces = 0, 0, []
-    for k in range(parts):
-        pool.part = (k, parts)
-        c, s, found = harness._check_maps(["P-kernel-alt"], pool)["P-kernel-alt"]
-        checked, skipped, ces = checked + c, skipped + s, ces + found
-    expected = _unkeyed("P-kernel-alt", maps)
-    assert (checked, skipped, ces) == expected
-    assert 0 < len(ces) < len(maps)
+    maps = _every_map(harness._pool_for(sizes=(1, 2, 3), up_to_iso=True))
+    reports = [harness._run_part(("P-kernel-alt",), ((1, 2, 3), None, True), k, parts)[0]
+               for k in range(parts)]
+    # part 0 runs the map pass whole
+    found = [(r.instances_checked, r.hypothesis_skipped, list(r.counterexamples))
+             for r in reports]
+    assert found[0] == _unkeyed("P-kernel-alt", maps)
+    assert found[1:] == [(0, 0, [])] * (parts - 1)
+    assert 0 < len(found[0][2]) < len(maps)
 
 
 def test_pairs_differing_only_in_the_pair_kernel_get_their_own_verdicts():
@@ -435,6 +434,47 @@ def test_map_pass_classifies_each_hom_once_and_no_other_map(monkeypatch):
     # the 138 homs among the 1,223 maps; every other map is skipped unbuilt
     assert len(calls) == len(set(calls)) == 138
     assert all(classify(m).is_hom for m in calls)
+
+
+def test_ohom_pass_sees_exactly_the_ohoms_at_size_four():
+    pool = harness._pool_for(sizes=(1, 2, 3, 4), up_to_iso=True)
+    homs = [(m.source.name, m.target.name, m.table) for _, _, m in pool.homs()]
+    ohoms = [(m.source.name, m.target.name, m.table) for _, _, m, _ in pool.ohoms]
+    assert (len(homs), len(ohoms)) == (4606, 4605)
+    # the one hom that is no O-map: the identity n4-31 -> n4-30
+    assert set(homs) - set(ohoms) == {("n4-31", "n4-30", (0, 1, 2, 3))}
+    assert all(ker.mask == kernel(m).mask for _, _, m, ker in pool.ohoms)
+    assert [f.m for f in pool.instances(harness.OHOM)] == [m for _, _, m, _ in pool.ohoms]
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_maps_the_ohom_pass_never_sees_are_skipped_once(parts):
+    # P-monotone and T-kernel-filter hold on every O-hom and skip none of
+    # them, so every skip is a map that is no O-hom, counted in part 0
+    claims = ("P-monotone", "T-kernel-filter")
+    scope = ((1, 2, 3, 4), None, True)  # (sizes, fixtures, up_to_iso)
+    reports = [harness._run_part(claims, scope, k, parts) for k in range(parts)]
+    for _, *per_part in zip(claims, *reports):
+        assert sum(r.instances_checked for r in per_part) == 4605
+        assert [r.hypothesis_skipped for r in per_part] == [310994 - 4605] + [0] * (parts - 1)
+        assert all(r.verified for r in per_part)
+
+
+def test_hom_not_omap_search_classifies_the_homs_up_to_its_hit(monkeypatch):
+    calls = []
+
+    def counted(m, **kwargs):
+        calls.append(m)
+        return classify(m, **kwargs)
+
+    monkeypatch.setattr(harness, "classify", counted)
+    hit = find_counterexample("hom-not-omap", sizes=(1, 2, 3, 4), up_to_iso=True)
+    assert hit.context == ("X=n4-31", "Y=n4-30", "map=(0,1,2,3)")
+    homs = [m for _, _, m in harness._pool_for(sizes=(1, 2, 3, 4), up_to_iso=True).homs()]
+    # the hit is the 4,543rd of the 4,606 homs in map order; no later hom
+    # and no other map is classified
+    assert calls == homs[:homs.index(calls[-1]) + 1]
+    assert len(calls) == 4543 < len(homs)
 
 
 # The 20 non-product claims over the 42 isomorphism classes of sizes 1-4:
