@@ -26,7 +26,8 @@ The claims a sweep asks for are checked in one pass per scope: over the
 algebras; over the O-homomorphisms, working out each one's surjectivity,
 unit preservation and reflection once; over every map, for
 `P-kernel-alt`; and over the O-homomorphism pairs, building each product
-once and, per pair, only the pair map's byte table, on which both
+once and, per pair, only the pair map's byte table, one join of rows
+built once per second factor (`products.pair_rows`), on which both
 morphism laws are decided cell by cell and the pair kernel is read
 (`morphisms.decide_laws`); the pair map itself is built only to name a
 witness.  Both O-hom passes read one list, `_Pool.ohoms`: the
@@ -48,9 +49,14 @@ decides such a claim once per distinct key, and runs the conclusion again
 only on instances of a failing key, to name their counterexamples.  The
 three kernel product claims are keyed by the two source positions and
 the three kernel masks (256 keys for the 5,625 pairs over the size-3
-isomorphism classes), `P-kernel-alt` by the target and the map's image
-set (49 keys for the 1,223 maps over the size 1-3 isomorphism classes;
-see `_check_maps`).  The verdicts live for one pass, so one `--jobs` part.
+isomorphism classes), `T-pairmap-ohom` by the pair map's verdict,
+`P-kernel-alt` by the target and the map's image set (49 keys for the
+1,223 maps over the size 1-3 isomorphism classes; see `_check_maps`).
+So every pair claim is keyed and takes every pair, and the pair pass
+keeps each tuple of their keys at which all of them held: every later
+pair with such a tuple is checked by one set lookup (all but 256 of the
+5,625 pairs above).  The verdicts live for one pass, so one `--jobs`
+part.
 """
 
 from __future__ import annotations
@@ -93,6 +99,7 @@ from .products import (
     ProductAlgebra,
     direct_product,
     k_upper_sets,
+    pair_rows,
     pair_table,
     projection_kernels,
     rectangle_mask,
@@ -395,7 +402,7 @@ class _MapFacts:
     @cached_property
     def closed_kernel(self) -> CheckReport:
         """The closed-kernel condition, with its first witness."""
-        return _closed_kernel_condition(self.m, 1)
+        return _closed_kernel_condition(self.m, self.ker, 1)
 
     @property
     def context(self) -> tuple[str, ...]:
@@ -408,10 +415,13 @@ class _OhomPair(NamedTuple):
     The pair map f1 x f2 is held as its byte `table` over the two products;
     `ohom` is its verdict under both morphism laws and `kernels` is (s1,
     s2, ker f1, ker f2, ker(f1 x f2)): the pool positions of the two
-    sources and the three kernels as masks, the last read off `table`.
-    `kernels` is the key of the three kernel claims, which read nothing
-    else: the source product is fixed by (s1, s2), the three kernel subsets
-    by their masks over it and its factors, and `k_upper_sets` reads ker f1
+    sources and the three kernels as masks.  `decide_laws` gives `ohom`
+    and the pair kernel on `table` itself, so `T-product-kernel` is never
+    decided from k1 x k2.  `ohom` is the key of `T-pairmap-ohom`, whose
+    verdict it is, and `kernels` the key of the three kernel claims, which
+    read nothing else: the source product is fixed by (s1, s2), the three
+    kernel subsets by their masks over it and its factors, and
+    `k_upper_sets` reads ker f1
     and ker f2 again off the maps' tables, equal to these masks because k1
     and k2 are the kernels of f1 and f2.  The pair map and its kernel as
     objects, `pm` and `k`, are built only when a claim reads them.
@@ -426,16 +436,6 @@ class _OhomPair(NamedTuple):
     table: bytes
     ohom: bool
     kernels: tuple
-
-    @classmethod
-    def decided(cls, s1: int, s2: int, f1: Mapping, f2: Mapping, k1: Subset, k2: Subset,
-                source: ProductAlgebra, target: ProductAlgebra, table: bytes) -> _OhomPair:
-        """The pair whose map has this table, both laws and its kernel
-        decided on the table itself, so that `T-product-kernel` is never
-        decided from k1 x k2."""
-        ker, ohom = decide_laws(source.combined, target.combined, table)
-        return cls(f1, f2, k1, k2, source, target, table, ohom,
-                   (s1, s2, k1.mask, k2.mask, ker))
 
     @property
     def pm(self) -> Mapping:
@@ -458,14 +458,19 @@ def _ohom_pairs(pool: _Pool):
     `pool.part` of `pool.ohoms`, in pair order; None for a pair whose
     source or target product is no algebra.
 
-    Each first factor is walked against the blocks of second factors that
-    share a (source, target), in order, so both products are looked up
-    once per block.  Products are cached by the pool positions of their
+    The second factors are cut into blocks that share a (source,
+    target), and each run of first factors that share one is walked
+    against every block in order, so both products are looked up once per
+    run and block.  Products are cached by the pool positions of their
     factors and certified by `direct_product` once each; pairs are
-    streamed, never stored.  Per pair only the table of the pair map is
-    built, and `_OhomPair.decided` decides its laws and reads its kernel.
+    streamed, never stored.  Each second factor's `pair_rows` are built
+    once, for the values of every first factor (no pool algebra has more
+    than `MAX_CARRIER_SIZE` elements, so every entry fits a byte), so per
+    pair the pair map's table is one join of rows picked by f1's table,
+    on which `decide_laws` decides both laws and reads the pair kernel.
     """
-    blocks = [(s2, t2, [(f2, k2) for _, _, f2, k2 in block])
+    n1 = max((a.n for a in pool.algebras), default=0)
+    blocks = [(s2, t2, [(f2, k2, pair_rows(f2, n1)) for _, _, f2, k2 in block])
               for (s2, t2), block in itertools.groupby(pool.ohoms, key=lambda o: o[:2])]
     products = {}
 
@@ -475,16 +480,27 @@ def _ohom_pairs(pool: _Pool):
             products[key] = direct_product(left, right, witness_cap=0)
         return products[key]
 
-    for s1, t1, f1, k1 in pool.part_of(pool.ohoms):
+    for (s1, t1), firsts in itertools.groupby(pool.part_of(pool.ohoms), key=lambda o: o[:2]):
+        firsts = [(f1, k1) for _, _, f1, k1 in firsts]
+        f = firsts[0][0]  # any first factor of the group
+        row = []  # (s2, source product, target product, block), products None if no algebra
         for s2, t2, block in blocks:
             g = block[0][0]  # any second factor of the block
-            src, src_report = product_of(s1, s2, f1.source, g.source)
-            dst, dst_report = product_of(t1, t2, f1.target, g.target)
-            if not (src_report.holds and dst_report.holds):
-                yield from itertools.repeat(None, len(block))
-                continue
-            for f2, k2 in block:
-                yield _OhomPair.decided(s1, s2, f1, f2, k1, k2, src, dst, pair_table(f1, f2))
+            src, src_report = product_of(s1, s2, f.source, g.source)
+            dst, dst_report = product_of(t1, t2, f.target, g.target)
+            row.append((s2, src, dst, block) if src_report.holds and dst_report.holds
+                       else (s2, None, None, block))
+        for f1, k1 in firsts:
+            for s2, src, dst, block in row:
+                if src is None:
+                    yield from itertools.repeat(None, len(block))
+                    continue
+                combined = src.combined, dst.combined
+                for f2, k2, rows in block:
+                    table = pair_table(f1, rows)
+                    ker, ohom = decide_laws(*combined, table)
+                    yield _OhomPair(f1, f2, k1, k2, src, dst, table, ohom,
+                                    (s1, s2, k1.mask, k2.mask, ker))
 
 
 # --- hypotheses ----------------------------------------------------------------
@@ -670,7 +686,7 @@ def _ksets(p: _OhomPair):
 
 # --- the claims ------------------------------------------------------------------
 
-_kernels = attrgetter("kernels")
+_ohom, _kernels = attrgetter("ohom"), attrgetter("kernels")
 
 ALGEBRA, MAP, OHOM, PAIR = "algebra", "map", "ohom", "pair"
 
@@ -694,7 +710,9 @@ class Claim(NamedTuple):
     value that fixes whether the conclusion holds: instances with equal
     keys all pass or all fail.  A pass then calls the conclusion once per
     key that holds, and on every instance of a failing key, to name that
-    instance's own counterexamples (see `_check`).
+    instance's own counterexamples (see `_check`).  The PAIR claims are
+    all keyed and take every pair, so a pass over any of them checks a
+    pair whose tuple of keys held before by one set lookup.
 
     A MAP claim is checked on every map (its hypothesis is `_always`) and
     is keyed by the target's pool position and the map's image set, so that
@@ -745,9 +763,9 @@ CLAIMS: dict[str, Claim] = {
     "T-ordfilter-bijection": Claim(OHOM, _surjective_unit,
                                    _bijection(ORDERED_FILTER, in_cone=True)),
     # Over pairs whose source and target products are both algebras; the
-    # kernel claims are keyed by `_OhomPair.kernels`, the pair map's own
-    # law by nothing.
-    "T-pairmap-ohom": Claim(PAIR, _always, _pairmap_ohom),
+    # pair map's own law is keyed by its verdict, `_OhomPair.ohom`, and the
+    # kernel claims by `_OhomPair.kernels`.
+    "T-pairmap-ohom": Claim(PAIR, _always, _pairmap_ohom, key=_ohom),
     "T-product-kernel": Claim(PAIR, _always, _product_kernel, key=_kernels),
     "T-product-kernel-projection": Claim(PAIR, _always, _product_kernel_projection,
                                          key=_kernels),
@@ -763,14 +781,30 @@ def _check(claims, instances, skipped=0):
     A None instance, or one failing a claim's hypothesis, is one skip, as
     is each of `skipped` instances the pass never sees.  A keyed claim's
     conclusion runs on the first instance of each key, and again only on
-    later instances of a key that failed; the keys that held are kept for
-    this pass alone, so for one `--jobs` part.  Returns claim id ->
-    (checked, skipped, counterexamples), the counterexamples in instance
-    order.
+    later instances of a key that failed.  When every claim is keyed and
+    takes every instance, the pass also keeps each tuple of their keys at
+    which every claim held, and counts a later instance with that tuple
+    as checked for every claim at the cost of one set lookup; any other
+    instance takes the per-claim path, so each failing instance is named.
+    The keys and tuples that held are kept for this pass alone, so for one
+    `--jobs` part.  Returns claim id -> (checked, skipped,
+    counterexamples), the counterexamples in instance order.
     """
     tallies = {c: [0, skipped, []] for c in claims}
     specs = [(*CLAIMS[c], tallies[c], set()) for c in claims]
+    signed = all(CLAIMS[c].hypothesis is _always and CLAIMS[c].key is not None
+                 for c in claims)
+    keys = tuple(dict.fromkeys(CLAIMS[c].key for c in claims))
+    held, repeats = set(), 0  # the key tuples at which every claim held
     for inst in instances:
+        if signed and inst is not None:
+            signature = tuple([key(inst) for key in keys])
+            if signature in held:
+                repeats += 1
+                continue
+        else:
+            signature = None
+        every_held = True
         for _, hypothesis, conclusion, subsets, key, tally, holding in specs:
             if inst is None or not hypothesis(inst):
                 tally[1] += 1
@@ -793,7 +827,12 @@ def _check(claims, instances, skipped=0):
                 found = [v for mask in range(1 << n) if chosen >> mask & 1
                          for v in conclusion(inst, mask)]
             for extra, witness in found:
+                every_held = False
                 tally[2].append(Counterexample(inst.context + extra, witness))
+        if signature is not None and every_held:
+            held.add(signature)
+    for tally in tallies.values():
+        tally[0] += repeats
     return {c: tuple(t) for c, t in tallies.items()}
 
 

@@ -108,7 +108,8 @@ def decide_laws(src: RawStructure, dst: RawStructure, table: bytes) -> tuple[int
     if src.cone_values_mask & ~ker:
         return ker, False
     lhs = src.op_bytes.translate(table.ljust(256, b"\0"))
-    return ker, lhs == b"".join(map(table.translate, map(dst.row_tables.__getitem__, table)))
+    rows = dst.row_tables
+    return ker, lhs == b"".join([table.translate(rows[v]) for v in table])
 
 
 def classify(m: Mapping, *, witness_cap: int | None = DEFAULT_WITNESS_CAP) -> MorphismClass:
@@ -223,19 +224,18 @@ def check_closed_kernel_condition(m: Mapping, *,
                                   witness_cap: int | None = DEFAULT_WITNESS_CAP) -> CheckReport:
     """kappa(unit_X) <= kappa(x) forces x->unit_X into the kernel."""
     _require_ohom(m, "check_closed_kernel_condition")
-    return _closed_kernel_condition(m, witness_cap)
+    return _closed_kernel_condition(m, kernel(m).mask, witness_cap)
 
 
-def _closed_kernel_condition(m: Mapping, witness_cap: int | None) -> CheckReport:
+def _closed_kernel_condition(m: Mapping, ker: int, witness_cap: int | None) -> CheckReport:
     """`check_closed_kernel_condition` for a map its caller has already
-    classified."""
-    ker = kernel(m)
+    classified, whose kernel mask `ker` it has already taken."""
     src, dst = m.source, m.target
     t = m.table
     e_img_row = dst.order[t[src.unit]]
     viol = (
         (x,) for x in range(src.n)
-        if e_img_row[t[x]] and src.op[x][src.unit] not in ker
+        if e_img_row[t[x]] and not ker >> src.op[x][src.unit] & 1
     )
     return CheckReport.collect("closed-kernel-condition", viol, witness_cap)
 

@@ -6,7 +6,8 @@ is the pair of units, and the product order is the conjunction of the
 component orders.  Construction never requires validity; `direct_product`
 reports whether the result satisfies the axioms, as the definition of a
 direct product algebra demands.  `pair_map` builds the pair map of two
-maps as a Mapping, `pair_table` only its table, as bytes.
+maps as a Mapping, `pair_table` only its table, as bytes, joined from the
+rows `pair_rows` builds once per second factor.
 
 A set over the combined carrier is one bitmask whose row x1 is the slice
 of n2 bits starting at bit x1*n2: a rectangle left x right is the right
@@ -99,20 +100,29 @@ def pair_map(f1: Mapping, f2: Mapping) -> Mapping:
     source = ProductAlgebra.of(f1.source, f2.source)
     target = ProductAlgebra.of(f1.target, f2.target)
     name = f"{f1.name or 'f1'}x{f2.name or 'f2'}"
-    return Mapping(source.combined, target.combined, _pair_entries(f1, f2), name)
+    rows = _pair_rows(f2, f1.target.n)
+    return Mapping(source.combined, target.combined,
+                   [v for v1 in f1.table for v in rows[v1]], name)
 
 
-def pair_table(f1: Mapping, f2: Mapping) -> bytes:
-    """The table of the pair map f1 x f2, one byte per entry: the pair pass
-    builds products within `DEFAULT_PRODUCT_BUDGET` only, so every entry
-    fits."""
-    return bytes(_pair_entries(f1, f2))
+def pair_rows(f2: Mapping, n1: int) -> list[bytes]:
+    """Row v1 of the table of every pair map f1 x f2 whose first factor
+    takes values below n1, for each v1 < n1, one byte per entry, so n1
+    times the size of f2's target may not exceed 256."""
+    return [bytes(row) for row in _pair_rows(f2, n1)]
 
 
-def _pair_entries(f1: Mapping, f2: Mapping):
-    """The entries of the pair map's table, (x1, x2) in row-major order."""
+def pair_table(f1: Mapping, rows: list[bytes]) -> bytes:
+    """The table of the pair map f1 x f2 as bytes, from the `pair_rows` of
+    f2: row f1(x1) for each x1 in turn."""
+    return b"".join([rows[v1] for v1 in f1.table])
+
+
+def _pair_rows(f2: Mapping, n1: int) -> list[list[int]]:
+    """The one formula of a pair map's table: (x1, x2) in row-major order
+    holds f1(x1) * m2 + f2(x2), so row x1 depends on f1(x1) alone."""
     m2 = f2.target.n
-    return (v1 * m2 + v2 for v1 in f1.table for v2 in f2.table)
+    return [[v1 * m2 + v2 for v2 in f2.table] for v1 in range(n1)]
 
 
 def rectangle_mask(left: int, right: int, n2: int) -> int:

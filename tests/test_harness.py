@@ -280,11 +280,14 @@ def test_jobs_below_one_is_rejected(monkeypatch, jobs):
 # --- keyed claims: a conclusion runs once per distinct key --------------------
 
 _KERNEL_CLAIMS = ("T-product-kernel", "T-product-kernel-projection", "T-ksets")
+_PAIR_CLAIMS = ("T-pairmap-ohom", *_KERNEL_CLAIMS)
 
 
-def test_keyed_claims_are_the_kernel_product_claims_and_kernel_alt():
+def test_keyed_claims_are_the_product_claims_and_kernel_alt():
     assert [c for c, spec in harness.CLAIMS.items() if spec.key is not None] == \
-        ["P-kernel-alt", *_KERNEL_CLAIMS]
+        ["P-kernel-alt", *_PAIR_CLAIMS]
+    # so a pass over the pair claims keeps the key tuples at which all held
+    assert all(harness.CLAIMS[c].hypothesis is harness._always for c in _PAIR_CLAIMS)
 
 
 def _unkeyed(claim, instances):
@@ -367,14 +370,44 @@ def test_map_pass_names_the_maps_of_failing_keys_in_map_order(monkeypatch, parts
     assert 0 < len(found[0][2]) < len(maps)
 
 
+def _with_table(real, table):
+    """`real` with another pair map table, whose laws and kernel are
+    decided on that table as the pair pass decides them."""
+    ker, ohom = morphisms.decide_laws(real.source.combined, real.target.combined, table)
+    return real._replace(table=table, ohom=ohom, kernels=(*real.kernels[:4], ker))
+
+
+def _onto_unit(real):
+    """A fabricated pair whose table sends everything to the target's unit:
+    an O-hom whose kernel is everything."""
+    return _with_table(real, bytes([real.target.combined.unit]) * real.source.combined.n)
+
+
+def _unit_elsewhere(real):
+    """A fabricated pair whose table sends the source's unit off the
+    target's unit: a hom sends the unit x->x to t[x]->t[x], the target's
+    unit, so it is no hom."""
+    e, e_img = real.source.combined.unit, real.target.combined.unit
+    table = bytearray(real.table)
+    table[e] = (e_img + 1) % real.target.combined.n
+    return _with_table(real, bytes(table))
+
+
+def _same_kernel_no_hom(real):
+    """A fabricated pair with the real pair's kernels but no hom: the first
+    table one entry off the real one with the same kernel and no hom, or
+    None."""
+    n, m = len(real.table), real.target.combined.n
+    return next((fake for x in range(n) for v in range(m)
+                 for fake in [_with_table(real, real.table[:x] + bytes([v]) + real.table[x + 1:])]
+                 if fake.kernels == real.kernels and not fake.ohom), None)
+
+
 def test_pairs_differing_only_in_the_pair_kernel_get_their_own_verdicts():
     pool = harness._pool_for(sizes=(1, 2))
     real = next(p for p in harness._ohom_pairs(pool)
                 if p is not None and len(p.k) < p.k.universe.n)
-    # a fabricated pair table onto the target's unit: its kernel is everything
-    onto_unit = bytes([real.target.combined.unit]) * real.source.combined.n
-    fake = harness._OhomPair.decided(*real.kernels[:2], real.f1, real.f2, real.k1,
-                                     real.k2, real.source, real.target, onto_unit)
+    fake = _onto_unit(real)
     assert fake.kernels[:4] == real.kernels[:4] and fake.k.mask != real.k.mask
     for claim in _KERNEL_CLAIMS:
         conclusion = harness.CLAIMS[claim].conclusion
@@ -388,22 +421,103 @@ def test_pairmap_ohom_names_the_classify_witness_of_a_fabricated_pair():
     pool = harness._pool_for(sizes=(1, 2))
     real = next(p for p in harness._ohom_pairs(pool)
                 if p is not None and p.target.combined.n > 1)
-    # a hom sends the unit x->x to t[x]->t[x], the target's unit; this
-    # table sends it elsewhere
-    e, e_img = real.source.combined.unit, real.target.combined.unit
-    table = bytearray(real.table)
-    table[e] = (e_img + 1) % real.target.combined.n
-    table = bytes(table)
-    fake = harness._OhomPair.decided(*real.kernels[:2], real.f1, real.f2, real.k1,
-                                     real.k2, real.source, real.target, table)
+    fake = _unit_elsewhere(real)
     assert real.ohom and harness._pairmap_ohom(real) == ()
     # the first witness of an uncapped classification
     cls = classify(fake.pm, witness_cap=None)
     assert not cls.is_hom and not fake.ohom
-    assert fake.pm.table == tuple(table)
+    assert fake.pm.table == tuple(fake.table)
     assert harness._pairmap_ohom(fake) == [((), cls.hom.witnesses[0])]
     assert harness._check(["T-pairmap-ohom"], [real, fake])["T-pairmap-ohom"] == \
         (2, 0, [harness.Counterexample(fake.context, cls.hom.witnesses[0])])
+
+
+def _real_pairs(scope):
+    return [p for p in harness._ohom_pairs(harness._pool_for(**scope)) if p is not None]
+
+
+@pytest.mark.parametrize("scope, count", [({"sizes": (1, 2)}, 121),
+                                          ({"sizes": (3,), "up_to_iso": True}, 5625)])
+def test_pairmap_ohom_key_fixes_its_verdict(scope, count):
+    pairs = _real_pairs(scope)
+    assert len(pairs) == count
+    # every real pair is an O-hom; a fabricated non-hom pair gives the other key
+    pairs.append(_unit_elsewhere(next(p for p in pairs if p.target.combined.n > 1)))
+    groups = _grouped(pairs, harness.CLAIMS["T-pairmap-ohom"].key,
+                      lambda p: not harness._pairmap_ohom(p))
+    assert groups == {True: {True}, False: {False}}
+
+
+def _signature(p):
+    return tuple(harness.CLAIMS[c].key(p) for c in _PAIR_CLAIMS)
+
+
+def _check_pair_claims(instances):
+    """`_check` over the four pair claims at once, which keeps the key
+    tuples that held, against each claim's conclusion on every instance."""
+    assert harness._check(_PAIR_CLAIMS, instances) == \
+        {c: _unkeyed(c, instances) for c in _PAIR_CLAIMS}
+
+
+@pytest.mark.parametrize("scope", [{"sizes": (1, 2)}, {"sizes": (3,), "up_to_iso": True}])
+def test_key_tuples_that_held_hide_no_later_failing_pair(scope):
+    pairs = _real_pairs(scope)
+    _check_pair_claims(pairs)
+    # a real pair with a later twin of the same key tuple, and fakes sharing
+    # its factors: an O-hom differing in the pair kernel only, and two that
+    # are no hom, one of them with the real pair's kernels
+    real, twin, no_hom = next((p, q, fake) for i, p in enumerate(pairs)
+                              if len(p.k) < p.k.universe.n
+                              for fake in [_same_kernel_no_hom(p)] if fake is not None
+                              for q in pairs[i + 1:] if _signature(q) == _signature(p))
+    for fake in (_onto_unit(real), _unit_elsewhere(real), no_hom):
+        assert fake.kernels[:4] == real.kernels[:4] and _signature(fake) != _signature(real)
+        assert any(harness.CLAIMS[c].conclusion(fake) for c in _PAIR_CLAIMS)
+        for instances in ([fake, real, twin], [real, twin, fake], [real, fake, twin],
+                          [real, fake, twin, fake], [*pairs, fake, real, fake],
+                          [fake, *pairs, fake], pairs[:40] + [fake] + pairs[40:]):
+            _check_pair_claims(instances)
+
+
+def test_pair_pass_decides_every_pair_and_names_only_failing_pairs(monkeypatch):
+    decided, named = [], []
+
+    def counted_laws(src, dst, table):
+        decided.append(table)
+        return morphisms.decide_laws(src, dst, table)
+
+    def counted_pairmap_ohom(p):
+        named.append(p)
+        return harness._pairmap_ohom(p)
+
+    monkeypatch.setattr(harness, "decide_laws", counted_laws)
+    _patch_conclusion(monkeypatch, "T-pairmap-ohom", counted_pairmap_ohom)
+    reports = verify_all(_PAIR_CLAIMS, sizes=(3,), up_to_iso=True)
+    # each pair's own table decided, the first O-hom pair's law alone named
+    assert len(decided) == 5625
+    assert [r.instances_checked for r in reports] == [5625] * 4
+    assert len(named) == 1 and named[0].ohom
+    pairs = _real_pairs({"sizes": (3,), "up_to_iso": True})
+    fake = _unit_elsewhere(next(p for p in pairs if p.target.combined.n > 1))
+    named.clear()
+    harness._check(_PAIR_CLAIMS, [fake, *pairs, fake])
+    assert named == [fake, pairs[0], fake]
+
+
+def test_ohom_pass_takes_no_kernel_beyond_the_pools(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return kernel(m)
+
+    monkeypatch.setattr(harness, "kernel", counted)
+    monkeypatch.setattr(morphisms, "kernel", counted)
+    claims = [c for c, spec in harness.CLAIMS.items() if spec.scope == harness.OHOM]
+    assert len(claims) == 17
+    verify_all(claims, sizes=(1, 2, 3), up_to_iso=True)
+    # `_Pool.ohoms` takes each of the 138 O-homs' kernels; no claim another
+    assert len(calls) == len(set(calls)) == 138
 
 
 def test_witness_names_the_first_witness_of_a_failing_subset_check():

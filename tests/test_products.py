@@ -18,7 +18,7 @@ from obci import (
     validate,
 )
 from obci.core import BudgetError
-from obci.products import ProductAlgebra, pair_table, product_structure
+from obci.products import ProductAlgebra, pair_rows, pair_table, product_structure
 from obci import fixtures as fx
 
 exy = fx.ALGEBRAS["exy"]
@@ -296,7 +296,7 @@ def test_pair_pass_tables_and_kernels_match_the_pair_map(scope, count):
         pm = pair_map(p.f1, p.f2)
         src, dst = pm.source, pm.target
         assert (p.source.combined, p.target.combined) == (src, dst)
-        assert p.table == pair_table(p.f1, p.f2) == bytes(pm.table)
+        assert p.table == pair_table(p.f1, pair_rows(p.f2, p.f1.target.n)) == bytes(pm.table)
         n2, m2 = p.f2.source.n, p.f2.target.n
         assert all(p.table[x1 * n2 + x2] == p.f1(x1) * m2 + p.f2(x2)
                    for x1 in range(p.f1.source.n) for x2 in range(n2))
