@@ -34,7 +34,6 @@ from .substructures import (
 from .morphisms import (
     Mapping,
     MorphismClass,
-    check_closed_kernel_condition,
     check_reflection_condition,
     classify,
     constant_to_unit,
@@ -44,13 +43,11 @@ from .morphisms import (
     image,
     kernel,
     kernel_alt,
-    monotonicity_report,
     preimage,
 )
 from .products import (
     ProductAlgebra,
     direct_product,
-    direct_product_kernel,
     k_upper_sets,
     pair_map,
     product_structure,

@@ -15,12 +15,16 @@ generator runs a law over all instantiations in itertools.product order.
 Every check returns a CheckReport whose witnesses are the violating
 instantiations in that (lexicographic) order, exhaustive up to a
 caller-set cap; `CheckReport.collect` is the one place a cap is applied.
+
+Plain records are NamedTuples.  The three types that validate their
+input (RawStructure, Subset and morphisms.Mapping) are `_Value` classes:
+compared, hashed, printed and pickled by their fields, which their
+constructors set once.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -51,8 +55,10 @@ class ShapeError(ValueError):
     """A set that has to be a rectangle (left x right) is not one."""
 
 
-@dataclass(frozen=True)
-class CheckReport:
+_set = object.__setattr__
+
+
+class CheckReport(NamedTuple):
     """Outcome of one law evaluated over all of its instantiations.
 
     `holds` is true exactly when no violating instance exists.  Witnesses
@@ -93,46 +99,73 @@ class CheckReport:
                    truncated=any(r.truncated for r in reports))
 
     def relabeled(self, law: str) -> "CheckReport":
-        return replace(self, law=law)
+        return self._replace(law=law)
 
 
-@dataclass(frozen=True)
-class RawStructure:
-    """A finite candidate structure; no axiom is assumed to hold."""
+class _Value:
+    """A value whose constructor validates its fields, named in `_fields`,
+    and sets them once, past `__setattr__`, which refuses any later
+    assignment; instances compare, hash and print by those fields, and
+    pickle as a constructor call."""
 
-    name: str
-    labels: tuple[str, ...]
-    op: tuple[tuple[int, ...], ...]
-    unit: int
-    order: tuple[tuple[bool, ...], ...]
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "op", tuple(tuple(row) for row in self.op))
-        object.__setattr__(
-            self, "order", tuple(tuple(bool(v) for v in row) for row in self.order)
-        )
-        n = len(self.labels)
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RawStructure(_Value):
+    """A finite candidate structure; no axiom is assumed to hold.
+
+    `n` is the carrier size; the byte views below are cached on first use.
+    """
+
+    _fields = ("name", "labels", "op", "unit", "order")
+
+    def __init__(self, name: str, labels: Iterable[str], op, unit: int, order):
+        labels = tuple(labels)
+        op = tuple(tuple(row) for row in op)
+        order = tuple(tuple(bool(v) for v in row) for row in order)
+        n = len(labels)
         if n == 0:
-            raise StructureError(f"{self.name}: carrier must be non-empty")
-        if len(set(self.labels)) != n:
-            raise StructureError(f"{self.name}: element labels must be pairwise distinct")
-        if not isinstance(self.unit, int) or not 0 <= self.unit < n:
-            raise StructureError(f"{self.name}: unit index {self.unit!r} out of range")
-        if len(self.op) != n:
-            raise StructureError(f"{self.name}: operation table needs {n} rows, got {len(self.op)}")
-        for i, row in enumerate(self.op):
+            raise StructureError(f"{name}: carrier must be non-empty")
+        if len(set(labels)) != n:
+            raise StructureError(f"{name}: element labels must be pairwise distinct")
+        if not isinstance(unit, int) or not 0 <= unit < n:
+            raise StructureError(f"{name}: unit index {unit!r} out of range")
+        if len(op) != n:
+            raise StructureError(f"{name}: operation table needs {n} rows, got {len(op)}")
+        for i, row in enumerate(op):
             if len(row) != n:
-                raise StructureError(f"{self.name}: operation row {i} needs {n} entries, got {len(row)}")
+                raise StructureError(f"{name}: operation row {i} needs {n} entries, got {len(row)}")
             for j, v in enumerate(row):
                 if not isinstance(v, int) or not 0 <= v < n:
-                    raise StructureError(f"{self.name}: bad table entry at ({i}, {j}): {v!r}")
-        if len(self.order) != n or any(len(row) != n for row in self.order):
-            raise StructureError(f"{self.name}: order matrix must be {n} x {n}")
-
-    @cached_property
-    def n(self) -> int:
-        return len(self.labels)
+                    raise StructureError(f"{name}: bad table entry at ({i}, {j}): {v!r}")
+        if len(order) != n or any(len(row) != n for row in order):
+            raise StructureError(f"{name}: order matrix must be {n} x {n}")
+        self.__dict__.update(name=name, labels=labels, op=op, unit=unit, order=order, n=n)
 
     # The byte views below hold element indices as bytes, so they are
     # built only for carriers of at most 256 elements.
@@ -180,18 +213,19 @@ class RawStructure:
         return tuple(z for z in range(self.n) if row[z])
 
 
-@dataclass(frozen=True)
-class Subset:
+class Subset(_Value):
     """Subset of one structure's carrier, stored as a bitmask."""
 
-    universe: RawStructure
-    mask: int
+    __slots__ = ("universe", "mask")
+    _fields = __slots__
 
-    def __post_init__(self):
-        if not 0 <= self.mask < (1 << self.universe.n):
+    def __init__(self, universe: RawStructure, mask: int):
+        if not 0 <= mask < (1 << universe.n):
             raise StructureError(
-                f"subset mask {self.mask:#x} out of range for carrier of size {self.universe.n}"
+                f"subset mask {mask:#x} out of range for carrier of size {universe.n}"
             )
+        _set(self, "universe", universe)
+        _set(self, "mask", mask)
 
     @classmethod
     def from_indices(cls, universe: RawStructure, indices: Iterable[int]) -> "Subset":
@@ -262,8 +296,7 @@ class Subset:
         return self.mask & ~other.mask == 0
 
 
-@dataclass(frozen=True)
-class ValidatedAlgebra:
+class ValidatedAlgebra(NamedTuple):
     """A structure certified against all six axioms; made only by `certified`.
 
     The stored relation is then exactly the cone-generated one and is a
@@ -357,11 +390,6 @@ def _law_reports(s: RawStructure, laws: dict[str, Law],
             for name, law in laws.items()]
 
 
-def axiom_violated_at(s: RawStructure, axiom: str, inst: tuple[int, ...]) -> bool:
-    """Re-evaluate one axiom at a single instantiation (True = violated)."""
-    return _bound(s, AXIOMS[axiom])(*inst)
-
-
 # --- axiom evaluation ------------------------------------------------------
 
 def check_axiom(s: RawStructure, axiom: str, *,
@@ -435,12 +463,6 @@ def order_from_cone(op, unit: int, cone) -> tuple[tuple[bool, ...], ...]:
     return tuple(tuple(op[i][j] in members for j in range(n)) for i in range(n))
 
 
-def cone_generated(s: RawStructure) -> RawStructure:
-    """Copy of `s` with its relation replaced by the cone-generated one."""
-    order = order_from_cone(s.op, s.unit, s.cone_members())
-    return replace(s, order=order)
-
-
 def reflexive_transitive_closure(s: RawStructure) -> RawStructure:
     """Copy of `s` with the stored relation closed reflexively/transitively.
 
@@ -458,7 +480,7 @@ def reflexive_transitive_closure(s: RawStructure) -> RawStructure:
                 for j in range(n):
                     if row_k[j]:
                         row_i[j] = True
-    return replace(s, order=tuple(tuple(row) for row in m))
+    return RawStructure(s.name, s.labels, s.op, s.unit, m)
 
 
 def relation_reports(s: RawStructure, *,

@@ -2,17 +2,18 @@
 
 The fixture files under data/ encode every table and relation exactly as
 stated in the source material they were taken from, including the ones
-whose stated properties do not survive definitional checking.  STATED
-records what the source asserts about each fixture; `audit` recomputes
-everything and returns a Finding for each divergence, witness-backed.
-Findings are reported, never "fixed": the stored tables and relations are
-the ground truth being audited.
+whose stated properties do not survive definitional checking.  They
+are read and parsed on the first use of ALGEBRAS or MAPS, not at import.
+STATED records what the source asserts about each fixture; `audit`
+recomputes everything and returns a Finding for each divergence,
+witness-backed.  Findings are reported, never "fixed": the stored tables
+and relations are the ground truth being audited.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from importlib import resources
+from functools import cache
+from typing import NamedTuple
 
 from .core import (
     RawStructure,
@@ -35,10 +36,14 @@ _MAP_FILES = (
 
 
 def _read(name: str) -> str:
+    from importlib import resources  # imports `inspect` from Python 3.12 on
+
     return resources.files("obci.data").joinpath(name).read_text(encoding="utf-8")
 
 
-def _load():
+@cache
+def _load() -> tuple[dict[str, RawStructure], dict[str, Mapping]]:
+    """(ALGEBRAS, MAPS), read and parsed once."""
     algebras: dict[str, RawStructure] = {}
     for name in _ALGEBRA_FILES:
         algebras[name] = parse_algebra(_read(f"{name}.alg"), source=f"{name}.alg")
@@ -49,35 +54,41 @@ def _load():
     return algebras, maps
 
 
-ALGEBRAS, MAPS = _load()
+def __getattr__(name: str):
+    """ALGEBRAS (name -> RawStructure) and MAPS (name -> Mapping), in file
+    order, loaded on first use."""
+    if name == "ALGEBRAS":
+        return _load()[0]
+    if name == "MAPS":
+        return _load()[1]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def fixture_text(name: str) -> str:
     """Canonical file text for a fixture (algebra or map)."""
-    if name in ALGEBRAS:
-        return serialize_algebra(ALGEBRAS[name])
-    if name in MAPS:
-        return serialize_map(MAPS[name])
+    algebras, maps = _load()
+    if name in algebras:
+        return serialize_algebra(algebras[name])
+    if name in maps:
+        return serialize_map(maps[name])
     raise KeyError(f"unknown fixture {name!r}")
 
 
 def validated(name: str) -> ValidatedAlgebra | None:
     """ValidatedAlgebra for a fixture, or None when the axioms fail."""
-    result = validate(ALGEBRAS[name])
+    result = validate(_load()[0][name])
     return result if isinstance(result, ValidatedAlgebra) else None
 
 
 # --- stated claims and the audit -------------------------------------------
 
-@dataclass(frozen=True)
-class StatedClaim:
+class StatedClaim(NamedTuple):
     subject: str       # fixture or map name
     topic: str         # "valid", "kernel", "classify"
     stated: object     # bool | frozenset[str] | (bool, bool)
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """One divergence between a stated property and the computed verdict.
 
     Witnesses are tuples of label strings, tagged with the violated law.
@@ -115,7 +126,7 @@ def _set_repr(labels) -> str:
 
 
 def _audit_valid(name: str, stated: bool) -> Finding | None:
-    s = ALGEBRAS[name]
+    s = _load()[0][name]
     failing = [r for r in axiom_reports(s) if not r.holds]
     order_failing = [r for r in relation_reports(s) if not r.holds]
     ok = not failing
@@ -131,7 +142,7 @@ def _audit_valid(name: str, stated: bool) -> Finding | None:
 
 
 def _audit_kernel(name: str, stated: frozenset) -> Finding | None:
-    m = MAPS[name]
+    m = _load()[1][name]
     computed = set(kernel(m).member_labels())
     if computed == set(stated):
         return None
@@ -145,7 +156,7 @@ def _audit_kernel(name: str, stated: frozenset) -> Finding | None:
 
 
 def _audit_classify(name: str, stated: tuple[bool, bool]) -> Finding | None:
-    m = MAPS[name]
+    m = _load()[1][name]
     cls = classify(m)
     if (cls.is_hom, cls.is_omap) == stated:
         return None

@@ -62,7 +62,6 @@ part.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import attrgetter
 from typing import Callable, NamedTuple
@@ -112,14 +111,12 @@ DEFAULT_NAIVE_BUDGET = 1_000_000
 _ENUM_LABELS = ("e", "a", "b", "c", "d", "f", "g", "h")
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     context: tuple[str, ...]
     witness: tuple
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     claim: str
     instances_checked: int
     hypothesis_skipped: int
@@ -385,8 +382,8 @@ class _Map(NamedTuple):
 class _MapFacts:
     """One O-homomorphism between pool algebras, its kernel mask read off
     `_Pool.ohoms`, and the facts its claims read, each worked out at most
-    once.  The laws that require an O-homomorphism are reached through their
-    unguarded bodies: the pool has classified the map."""
+    once.  The laws that require an O-homomorphism check no precondition:
+    the pool has classified the map."""
 
     def __init__(self, m: Mapping, ker: int, source: Atlas, target: Atlas):
         self.m = m
@@ -455,19 +452,21 @@ class _OhomPair(NamedTuple):
 
 def _ohom_pairs(pool: _Pool):
     """The ordered pairs of O-homs whose first factor lies in slice
-    `pool.part` of `pool.ohoms`, in pair order; None for a pair whose
-    source or target product is no algebra.
+    `pool.part` of `pool.ohoms`, in pair order.
 
     The second factors are cut into blocks that share a (source,
     target), and each run of first factors that share one is walked
     against every block in order, so both products are looked up once per
     run and block.  Products are cached by the pool positions of their
-    factors and certified by `direct_product` once each; pairs are
-    streamed, never stored.  Each second factor's `pair_rows` are built
-    once, for the values of every first factor (no pool algebra has more
-    than `MAX_CARRIER_SIZE` elements, so every entry fits a byte), so per
-    pair the pair map's table is one join of rows picked by f1's table,
-    on which `decide_laws` decides both laws and reads the pair kernel.
+    factors and certified by `direct_product` once each.  Every OBCI axiom
+    is a universal Horn sentence, so a product of two algebras is one
+    (A. Horn, JSL 1951): a failed certification raises RuntimeError, as
+    in `core.certified`.  Pairs are streamed, never stored.  Each second
+    factor's `pair_rows` are built once, for the values of every first
+    factor (no pool algebra has more than `MAX_CARRIER_SIZE` elements, so
+    every entry fits a byte), so per pair the pair map's table is one join
+    of rows picked by f1's table, on which `decide_laws` decides both laws
+    and reads the pair kernel.
     """
     n1 = max((a.n for a in pool.algebras), default=0)
     blocks = [(s2, t2, [(f2, k2, pair_rows(f2, n1)) for _, _, f2, k2 in block])
@@ -477,24 +476,23 @@ def _ohom_pairs(pool: _Pool):
     def product_of(i1, i2, left, right):
         key = (i1, i2)
         if key not in products:
-            products[key] = direct_product(left, right, witness_cap=0)
+            product, report = direct_product(left, right, witness_cap=0)
+            if not report.holds:
+                raise RuntimeError(f"the product {product.combined.name} of two "
+                                   f"algebras is not an algebra")
+            products[key] = product
         return products[key]
 
     for (s1, t1), firsts in itertools.groupby(pool.part_of(pool.ohoms), key=lambda o: o[:2]):
         firsts = [(f1, k1) for _, _, f1, k1 in firsts]
         f = firsts[0][0]  # any first factor of the group
-        row = []  # (s2, source product, target product, block), products None if no algebra
+        row = []  # (s2, source product, target product, block)
         for s2, t2, block in blocks:
             g = block[0][0]  # any second factor of the block
-            src, src_report = product_of(s1, s2, f.source, g.source)
-            dst, dst_report = product_of(t1, t2, f.target, g.target)
-            row.append((s2, src, dst, block) if src_report.holds and dst_report.holds
-                       else (s2, None, None, block))
+            row.append((s2, product_of(s1, s2, f.source, g.source),
+                        product_of(t1, t2, f.target, g.target), block))
         for f1, k1 in firsts:
             for s2, src, dst, block in row:
-                if src is None:
-                    yield from itertools.repeat(None, len(block))
-                    continue
                 combined = src.combined, dst.combined
                 for f2, k2, rows in block:
                     table = pair_table(f1, rows)
@@ -762,9 +760,8 @@ CLAIMS: dict[str, Claim] = {
     "T-filter-bijection": Claim(OHOM, _surjective_unit, _bijection(FILTER)),
     "T-ordfilter-bijection": Claim(OHOM, _surjective_unit,
                                    _bijection(ORDERED_FILTER, in_cone=True)),
-    # Over pairs whose source and target products are both algebras; the
-    # pair map's own law is keyed by its verdict, `_OhomPair.ohom`, and the
-    # kernel claims by `_OhomPair.kernels`.
+    # Over every pair; the pair map's own law is keyed by its verdict,
+    # `_OhomPair.ohom`, and the kernel claims by `_OhomPair.kernels`.
     "T-pairmap-ohom": Claim(PAIR, _always, _pairmap_ohom, key=_ohom),
     "T-product-kernel": Claim(PAIR, _always, _product_kernel, key=_kernels),
     "T-product-kernel-projection": Claim(PAIR, _always, _product_kernel_projection,
@@ -778,13 +775,13 @@ CLAIM_IDS = tuple(CLAIMS)
 def _check(claims, instances, skipped=0):
     """Claims of one scope in one pass over its instances.
 
-    A None instance, or one failing a claim's hypothesis, is one skip, as
-    is each of `skipped` instances the pass never sees.  A keyed claim's
-    conclusion runs on the first instance of each key, and again only on
-    later instances of a key that failed.  When every claim is keyed and
-    takes every instance, the pass also keeps each tuple of their keys at
-    which every claim held, and counts a later instance with that tuple
-    as checked for every claim at the cost of one set lookup; any other
+    An instance failing a claim's hypothesis is one skip, as is each of
+    `skipped` instances the pass never sees.  A keyed claim's conclusion
+    runs on the first instance of each key, and again only on later
+    instances of a key that failed.  When every claim is keyed and takes
+    every instance, the pass also keeps each tuple of their keys at which
+    every claim held, and counts a later instance with that tuple as
+    checked for every claim at the cost of one set lookup; any other
     instance takes the per-claim path, so each failing instance is named.
     The keys and tuples that held are kept for this pass alone, so for one
     `--jobs` part.  Returns claim id -> (checked, skipped,
@@ -797,7 +794,7 @@ def _check(claims, instances, skipped=0):
     keys = tuple(dict.fromkeys(CLAIMS[c].key for c in claims))
     held, repeats = set(), 0  # the key tuples at which every claim held
     for inst in instances:
-        if signed and inst is not None:
+        if signed:
             signature = tuple([key(inst) for key in keys])
             if signature in held:
                 repeats += 1
@@ -806,7 +803,7 @@ def _check(claims, instances, skipped=0):
             signature = None
         every_held = True
         for _, hypothesis, conclusion, subsets, key, tally, holding in specs:
-            if inst is None or not hypothesis(inst):
+            if not hypothesis(inst):
                 tally[1] += 1
                 continue
             if subsets is None:

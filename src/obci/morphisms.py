@@ -16,42 +16,44 @@ ker(kappa) = {x : unit_Y <= kappa(x)} under the target's stored relation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import (
     DEFAULT_WITNESS_CAP,
     BudgetError,
     CheckReport,
-    PreconditionError,
     RawStructure,
     StructureError,
     Subset,
     UniverseMismatchError,
+    _set,
+    _Value,
 )
 
 DEFAULT_MAP_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class Mapping:
+class Mapping(_Value):
     """A total function between two carriers, as a table of target indices."""
 
-    source: RawStructure
-    target: RawStructure
-    table: tuple[int, ...]
-    name: str = ""
+    __slots__ = ("source", "target", "table", "name")
+    _fields = __slots__
 
-    def __post_init__(self):
-        object.__setattr__(self, "table", tuple(self.table))
-        if len(self.table) != self.source.n:
+    def __init__(self, source: RawStructure, target: RawStructure, table,
+                 name: str = ""):
+        table = tuple(table)
+        if len(table) != source.n:
             raise StructureError(
-                f"map {self.name!r}: table has {len(self.table)} entries "
-                f"for a carrier of size {self.source.n}"
+                f"map {name!r}: table has {len(table)} entries "
+                f"for a carrier of size {source.n}"
             )
-        for i, v in enumerate(self.table):
-            if not isinstance(v, int) or not 0 <= v < self.target.n:
-                raise StructureError(f"map {self.name!r}: bad image at {i}: {v!r}")
+        for i, v in enumerate(table):
+            if not isinstance(v, int) or not 0 <= v < target.n:
+                raise StructureError(f"map {name!r}: bad image at {i}: {v!r}")
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "table", table)
+        _set(self, "name", name)
 
     def __call__(self, i: int) -> int:
         return self.table[i]
@@ -63,8 +65,7 @@ class Mapping:
         return self.table[self.source.unit] == self.target.unit
 
 
-@dataclass(frozen=True)
-class MorphismClass:
+class MorphismClass(NamedTuple):
     """The reports of the two morphism laws, witnesses (x, y) in scan order."""
 
     hom: CheckReport
@@ -140,28 +141,12 @@ def classify(m: Mapping, *, witness_cap: int | None = DEFAULT_WITNESS_CAP) -> Mo
                          CheckReport.collect("o-map", omap_w, witness_cap))
 
 
-def _require_ohom(m: Mapping, what: str) -> MorphismClass:
-    cls = classify(m)
-    if not cls.is_ohom:
-        raise PreconditionError(
-            f"{what} requires an O-homomorphism; {m.name or m.table} is "
-            f"{'not a homomorphism' if not cls.is_hom else 'not an O-map'}"
-        )
-    return cls
-
-
-def monotonicity_report(m: Mapping, *,
-                        witness_cap: int | None = DEFAULT_WITNESS_CAP) -> CheckReport:
-    """The three order conclusions every O-homomorphism must satisfy.
+def _monotonicity(m: Mapping, witness_cap: int | None) -> CheckReport:
+    """The three order conclusions every O-homomorphism must satisfy, for
+    a map its caller has classified as one.
 
     Witnesses: ("unit-selfarrow",), ("unit-image",) or ("order", x, y).
     """
-    _require_ohom(m, "monotonicity_report")
-    return _monotonicity(m, witness_cap)
-
-
-def _monotonicity(m: Mapping, witness_cap: int | None) -> CheckReport:
-    """`monotonicity_report` for a map its caller has already classified."""
     t = m.table
     src, dst = m.source, m.target
     cone_t = dst.order[dst.unit]
@@ -220,16 +205,10 @@ def kernel_alt(m: Mapping) -> Subset:
     return Subset.from_indices(m.source, members)
 
 
-def check_closed_kernel_condition(m: Mapping, *,
-                                  witness_cap: int | None = DEFAULT_WITNESS_CAP) -> CheckReport:
-    """kappa(unit_X) <= kappa(x) forces x->unit_X into the kernel."""
-    _require_ohom(m, "check_closed_kernel_condition")
-    return _closed_kernel_condition(m, kernel(m).mask, witness_cap)
-
-
 def _closed_kernel_condition(m: Mapping, ker: int, witness_cap: int | None) -> CheckReport:
-    """`check_closed_kernel_condition` for a map its caller has already
-    classified, whose kernel mask `ker` it has already taken."""
+    """kappa(unit_X) <= kappa(x) forces x->unit_X into the kernel, for a
+    map its caller has classified as an O-homomorphism, whose kernel mask
+    `ker` it has already taken."""
     src, dst = m.source, m.target
     t = m.table
     e_img_row = dst.order[t[src.unit]]

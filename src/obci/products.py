@@ -17,7 +17,7 @@ projections read the rows back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     DEFAULT_WITNESS_CAP,
@@ -29,13 +29,12 @@ from .core import (
     UniverseMismatchError,
     axiom_reports,
 )
-from .morphisms import Mapping, kernel, kernel_mask
+from .morphisms import Mapping, kernel_mask
 
 DEFAULT_PRODUCT_BUDGET = 64
 
 
-@dataclass(frozen=True)
-class ProductAlgebra:
+class ProductAlgebra(NamedTuple):
     left: RawStructure
     right: RawStructure
     combined: RawStructure
@@ -133,21 +132,6 @@ def rectangle_mask(left: int, right: int, n2: int) -> int:
         out |= right << (low.bit_length() - 1) * n2
         left ^= low
     return out
-
-
-def direct_product_kernel(f1: Mapping, f2: Mapping) -> Subset:
-    """ker(f1) x ker(f2) over the source product carrier.
-
-    Cross-checked against the one-shot kernel of the pair map, which must
-    coincide by construction of the product order.
-    """
-    pm = pair_map(f1, f2)
-    k1 = kernel(f1)
-    k2 = kernel(f2)
-    combined = Subset(pm.source, rectangle_mask(k1.mask, k2.mask, f2.source.n))
-    if combined != kernel(pm):
-        raise RuntimeError("componentwise kernel disagrees with the pair-map kernel")
-    return combined
 
 
 def projection_kernels(product: ProductAlgebra, k: Subset) -> tuple[Subset, Subset]:

@@ -1,4 +1,7 @@
 import importlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -479,3 +482,29 @@ def test_exhaustive_flag(capsys):
     assert "+more" not in out
     law_lines = [l for l in out.splitlines() if l.startswith("LAW")]
     assert sum(l.count("(") for l in law_lines) == 26 + 8 + 2 + 5
+
+
+_LEAN_IMPORT = """
+import json, sys
+opened = []
+sys.addaudithook(lambda event, args: event == "open" and opened.append(str(args[0])))
+before = set(sys.modules)
+import obci.cli
+added = set(sys.modules) - before
+read_at_import = [p for p in opened if p.endswith((".alg", ".map"))]
+from obci import fixtures
+algebras, maps = len(fixtures.ALGEBRAS), len(fixtures.MAPS)
+print(json.dumps({"machinery": sorted(added & {"dataclasses", "inspect"}),
+                  "read_at_import": read_at_import, "algebras": algebras, "maps": maps,
+                  "read_on_use": sum(p.endswith((".alg", ".map")) for p in opened)}))
+"""
+
+
+def test_cli_import_skips_dataclasses_and_reads_no_fixture():
+    # a fresh interpreter, as a user of the command starts it
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", _LEAN_IMPORT], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == {"machinery": [], "read_at_import": [],
+                               "algebras": 5, "maps": 5, "read_on_use": 10}

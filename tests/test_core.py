@@ -1,4 +1,5 @@
 import itertools
+import pickle
 from pathlib import Path
 
 import pytest
@@ -16,14 +17,19 @@ from obci import (
     axiom_reports,
     check_axiom,
     check_derived_identities,
+    classify,
     derived_identity_reports,
     order_from_cone,
+    parse_algebra,
+    parse_map,
     reflexive_transitive_closure,
     relation_reports,
     validate,
+    verify_claim,
 )
-from obci.core import AXIOMS, axiom_violated_at, cone_generated
+from obci.core import AXIOMS
 from obci import fixtures as fx
+from obci.products import ProductAlgebra
 
 exy = fx.ALGEBRAS["exy"]
 ea = fx.ALGEBRAS["ea"]
@@ -90,13 +96,17 @@ def test_diamond_and_chain4_fail_only_linking_axiom():
 
 
 def test_axiom_witnesses_are_sound_and_exhaustive():
+    def violated_at(s, axiom, inst):
+        """The axiom's predicate at one instantiation (True = violated)."""
+        return AXIOMS[axiom].violated(s.op, s.order, s.order[s.unit], s.unit, *inst)
+
     for axiom in AXIOM_IDS:
         r = check_axiom(mid3, axiom, witness_cap=None)
         for w in r.witnesses:
-            assert axiom_violated_at(mid3, axiom, w)
+            assert violated_at(mid3, axiom, w)
         everything = [
             t for t in itertools.product(range(mid3.n), repeat=AXIOMS[axiom].arity)
-            if axiom_violated_at(mid3, axiom, t)
+            if violated_at(mid3, axiom, t)
         ]
         assert list(r.witnesses) == everything
 
@@ -294,6 +304,13 @@ def test_subset_operations_and_universe_guard():
     other = Subset.full(ea)
     with pytest.raises(UniverseMismatchError):
         s.union(other)
+    for mask in (8, -1):
+        with pytest.raises(StructureError, match="out of range for carrier of size 3"):
+            Subset(exy, mask)
+    with pytest.raises(StructureError, match="element index 3 out of range"):
+        Subset.from_indices(exy, (0, 3))
+    with pytest.raises(StructureError, match="unknown element 'z'"):
+        Subset.from_labels(exy, ("z",))
 
 
 def test_subset_members_and_len_match_the_bits():
@@ -306,6 +323,48 @@ def test_subset_members_and_len_match_the_bits():
         assert tuple(s) == expected
         assert len(s) == len(expected)
         assert Subset.from_indices(nine, expected) == s
+
+
+# --- records and values -------------------------------------------------------
+
+def _fresh_exy():
+    return parse_algebra(fx.fixture_text("exy"))
+
+
+def _fresh_map(name):
+    m = fx.MAPS[name]
+    return parse_map(fx.fixture_text(name), m.source, m.target)
+
+
+# One maker per record type: each call builds an equal but distinct instance.
+_RECORDS = {
+    "CheckReport": lambda: check_axiom(mid3, "OBCI-1", witness_cap=2),
+    "RawStructure": _fresh_exy,
+    "Subset": lambda: Subset(_fresh_exy(), 0b101),
+    "ValidatedAlgebra": lambda: validate(_fresh_exy()),
+    "Mapping": lambda: _fresh_map("mid3-swap"),
+    "MorphismClass": lambda: classify(_fresh_map("mid3-swap")),
+    "ProductAlgebra": lambda: ProductAlgebra.of(_fresh_exy(), ea),
+    "Counterexample": lambda: verify_claim("T-ordfilter-bijection",
+                                           sizes=(1, 2)).counterexamples[0],
+    "SweepReport": lambda: verify_claim("T-ordfilter-bijection", sizes=(1, 2)),
+    "StatedClaim": lambda: fx.StatedClaim("exy", "kernel", frozenset({"e"})),
+    "Finding": lambda: fx.audit()[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_records_compare_hash_pickle_and_print_by_their_fields(name):
+    a, b = _RECORDS[name](), _RECORDS[name]()
+    assert type(a).__name__ == name
+    assert a is not b and a == b and hash(a) == hash(b)
+    # --jobs sends reports from its workers through a pipe
+    copy = pickle.loads(pickle.dumps(a))
+    assert type(copy) is type(a) and copy == a and hash(copy) == hash(a)
+    fields = ", ".join(f"{f}={getattr(a, f)!r}" for f in a._fields)
+    assert repr(a) == f"{name}({fields})"
+    with pytest.raises(AttributeError):
+        setattr(a, a._fields[0], getattr(b, b._fields[0]))
 
 
 # --- property tests ---------------------------------------------------------
@@ -332,8 +391,8 @@ def test_cone_generated_relations_satisfy_linking_axiom(s):
     # shift its own cone.
     op = list(list(row) for row in s.op)
     op[s.unit] = list(range(s.n))
-    fixed = RawStructure(s.name, s.labels, tuple(map(tuple, op)), s.unit, s.order)
-    assert check_axiom(cone_generated(fixed), "OBCI-5").holds
+    order = order_from_cone(op, s.unit, s.cone_members())
+    assert check_axiom(RawStructure(s.name, s.labels, op, s.unit, order), "OBCI-5").holds
 
 
 @given(raw_structures(), st.randoms(use_true_random=False))

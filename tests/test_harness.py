@@ -504,6 +504,20 @@ def test_pair_pass_decides_every_pair_and_names_only_failing_pairs(monkeypatch):
     assert named == [fake, pairs[0], fake]
 
 
+def test_a_product_that_fails_certification_raises(monkeypatch):
+    # a product of two algebras is one (every axiom is a universal Horn
+    # sentence), so a failed certification is a defect, never a skip
+    certify = harness.direct_product
+
+    def failing(left, right, **kwargs):
+        product, report = certify(left, right, **kwargs)
+        return product, report._replace(holds=False)
+
+    monkeypatch.setattr(harness, "direct_product", failing)
+    with pytest.raises(RuntimeError, match="is not an algebra"):
+        verify_all(_PAIR_CLAIMS, sizes=(1, 2))
+
+
 def test_ohom_pass_takes_no_kernel_beyond_the_pools(monkeypatch):
     calls = []
 

@@ -6,12 +6,10 @@ from obci import (
     CheckReport,
     Mapping,
     MorphismClass,
-    PreconditionError,
     RawStructure,
     StructureError,
     Subset,
     UniverseMismatchError,
-    check_closed_kernel_condition,
     check_reflection_condition,
     classify,
     constant_to_unit,
@@ -21,12 +19,12 @@ from obci import (
     image,
     kernel,
     kernel_alt,
-    monotonicity_report,
     preimage,
 )
 from obci import fixtures as fx
+from obci.core import DEFAULT_WITNESS_CAP
 from obci.harness import enumerate_obci
-from obci.morphisms import decide_laws, kernel_mask
+from obci.morphisms import _closed_kernel_condition, _monotonicity, decide_laws, kernel_mask
 
 exy = fx.ALGEBRAS["exy"]
 ea = fx.ALGEBRAS["ea"]
@@ -106,10 +104,11 @@ def test_identity_is_ohomomorphism_even_on_raw_structures():
 
 
 def test_monotonicity_of_ohomomorphisms():
-    assert monotonicity_report(exy_to_ea).holds
-    assert monotonicity_report(constant_to_unit(exy, ea)).holds
-    with pytest.raises(PreconditionError):
-        monotonicity_report(d2c)
+    # the sweep checks the conclusions only on maps it has classified as
+    # O-homomorphisms, and diamond-to-chain is none
+    assert _monotonicity(exy_to_ea, DEFAULT_WITNESS_CAP).holds
+    assert _monotonicity(constant_to_unit(exy, ea), DEFAULT_WITNESS_CAP).holds
+    assert not classify(d2c).is_ohom
 
 
 def test_kernels_match_definitional_values():
@@ -146,16 +145,20 @@ def test_kernel_alt_of_constant_map_is_everything():
 
 
 def test_closed_kernel_condition():
-    assert check_closed_kernel_condition(exy_id).holds
-    assert check_closed_kernel_condition(constant_to_unit(exy, exy)).holds
+    def condition(m):
+        return _closed_kernel_condition(m, kernel(m).mask, DEFAULT_WITNESS_CAP)
+
+    assert condition(exy_id).holds
+    assert condition(constant_to_unit(exy, exy)).holds
     # probing the raw mid3 fixture: its identity map is an O-homomorphism
     # trivially, and the condition fails at 0 (0 -> 1/2 = 1 is outside
     # the kernel {1/2, 0})
-    r = check_closed_kernel_condition(mid3_id)
+    r = condition(mid3_id)
     assert not r.holds
     assert r.witnesses == ((2,),)
-    with pytest.raises(PreconditionError):
-        check_closed_kernel_condition(d2c)
+    # the sweep checks the condition only on maps it has classified as
+    # O-homomorphisms, and diamond-to-chain is none
+    assert not classify(d2c).is_ohom
 
 
 def test_reflection_condition():
