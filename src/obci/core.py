@@ -76,14 +76,12 @@ class CheckReport(NamedTuple):
     @classmethod
     def collect(cls, law: str, violations: Iterable[tuple],
                 cap: int | None = DEFAULT_WITNESS_CAP) -> "CheckReport":
-        """The report of a law from its violations, listing at most `cap`.
+        """The report of a law from its violations, listing at most `cap`
+        (every one for None).
 
         The only place a witness cap is applied; a negative cap is refused.
         """
-        if cap is None:
-            ws = tuple(violations)
-            return cls(law, not ws, ws)
-        if cap < 0:
+        if cap is not None and cap < 0:
             raise ValueError(f"witness cap must be at least 0, got {cap}")
         it = iter(violations)
         ws = tuple(itertools.islice(it, cap))
@@ -203,9 +201,6 @@ class RawStructure(_Value):
             return self.labels.index(label)
         except ValueError:
             raise StructureError(f"{self.name}: unknown element {label!r}") from None
-
-    def leq(self, i: int, j: int) -> bool:
-        return self.order[i][j]
 
     def cone_members(self) -> tuple[int, ...]:
         """Indices z with unit <= z under the stored relation."""

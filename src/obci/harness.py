@@ -44,19 +44,18 @@ adds each claim's partial reports up in k order, so counterexamples stay
 in pass order.
 
 A claim whose verdict reads only a small part of its instance carries a
-key: a hashable value fixing whether the conclusion holds.  A pass
-decides such a claim once per distinct key, and runs the conclusion again
-only on instances of a failing key, to name their counterexamples.  The
-three kernel product claims are keyed by the two source positions and
-the three kernel masks (256 keys for the 5,625 pairs over the size-3
-isomorphism classes), `T-pairmap-ohom` by the pair map's verdict,
+key: a hashable value fixing whether the conclusion holds.  The three
+kernel product claims are keyed by the two source positions and the
+three kernel masks (256 keys for the 5,625 pairs over the size-3
+isomorphism classes), `T-pairmap-ohom` by the pair map's verdict, and
 `P-kernel-alt` by the target and the map's image set (49 keys for the
-1,223 maps over the size 1-3 isomorphism classes; see `_check_maps`).
-So every pair claim is keyed and takes every pair, and the pair pass
-keeps each tuple of their keys at which all of them held: every later
-pair with such a tuple is checked by one set lookup (all but 256 of the
-5,625 pairs above).  The verdicts live for one pass, so one `--jobs`
-part.
+1,223 maps over the size 1-3 isomorphism classes; `_check_maps` decides
+it once per key).  So every pair claim is keyed and takes every pair,
+and the pair pass keeps one memo, each tuple of their keys at which all
+of them held: the conclusions run once per such tuple (256 times for
+the 5,625 pairs above) and on every pair of a failing tuple, to name its
+counterexamples, and every other pair is checked by one set lookup.  The
+tuples live for one pass, so one `--jobs` part.
 """
 
 from __future__ import annotations
@@ -454,10 +453,7 @@ def _ohom_pairs(pool: _Pool):
     """The ordered pairs of O-homs whose first factor lies in slice
     `pool.part` of `pool.ohoms`, in pair order.
 
-    The second factors are cut into blocks that share a (source,
-    target), and each run of first factors that share one is walked
-    against every block in order, so both products are looked up once per
-    run and block.  Products are cached by the pool positions of their
+    Products are cached for the pass by the pool positions of their
     factors and certified by `direct_product` once each.  Every OBCI axiom
     is a universal Horn sentence, so a product of two algebras is one
     (A. Horn, JSL 1951): a failed certification raises RuntimeError, as
@@ -469,36 +465,24 @@ def _ohom_pairs(pool: _Pool):
     and reads the pair kernel.
     """
     n1 = max((a.n for a in pool.algebras), default=0)
-    blocks = [(s2, t2, [(f2, k2, pair_rows(f2, n1)) for _, _, f2, k2 in block])
-              for (s2, t2), block in itertools.groupby(pool.ohoms, key=lambda o: o[:2])]
-    products = {}
+    seconds = [(s2, t2, f2, k2, pair_rows(f2, n1)) for s2, t2, f2, k2 in pool.ohoms]
 
-    def product_of(i1, i2, left, right):
-        key = (i1, i2)
-        if key not in products:
-            product, report = direct_product(left, right, witness_cap=0)
-            if not report.holds:
-                raise RuntimeError(f"the product {product.combined.name} of two "
-                                   f"algebras is not an algebra")
-            products[key] = product
-        return products[key]
+    @cache
+    def product_of(i1, i2):
+        left, right = pool.algebras[i1].structure, pool.algebras[i2].structure
+        product, report = direct_product(left, right, witness_cap=0)
+        if not report.holds:
+            raise RuntimeError(f"the product {product.combined.name} of two "
+                               f"algebras is not an algebra")
+        return product
 
-    for (s1, t1), firsts in itertools.groupby(pool.part_of(pool.ohoms), key=lambda o: o[:2]):
-        firsts = [(f1, k1) for _, _, f1, k1 in firsts]
-        f = firsts[0][0]  # any first factor of the group
-        row = []  # (s2, source product, target product, block)
-        for s2, t2, block in blocks:
-            g = block[0][0]  # any second factor of the block
-            row.append((s2, product_of(s1, s2, f.source, g.source),
-                        product_of(t1, t2, f.target, g.target), block))
-        for f1, k1 in firsts:
-            for s2, src, dst, block in row:
-                combined = src.combined, dst.combined
-                for f2, k2, rows in block:
-                    table = pair_table(f1, rows)
-                    ker, ohom = decide_laws(*combined, table)
-                    yield _OhomPair(f1, f2, k1, k2, src, dst, table, ohom,
-                                    (s1, s2, k1.mask, k2.mask, ker))
+    for s1, t1, f1, k1 in pool.part_of(pool.ohoms):
+        for s2, t2, f2, k2, rows in seconds:
+            src, dst = product_of(s1, s2), product_of(t1, t2)
+            table = pair_table(f1, rows)
+            ker, ohom = decide_laws(src.combined, dst.combined, table)
+            yield _OhomPair(f1, f2, k1, k2, src, dst, table, ohom,
+                            (s1, s2, k1.mask, k2.mask, ker))
 
 
 # --- hypotheses ----------------------------------------------------------------
@@ -706,11 +690,11 @@ class Claim(NamedTuple):
 
     `key`, given only without `subsets`, maps an instance to a hashable
     value that fixes whether the conclusion holds: instances with equal
-    keys all pass or all fail.  A pass then calls the conclusion once per
-    key that holds, and on every instance of a failing key, to name that
-    instance's own counterexamples (see `_check`).  The PAIR claims are
-    all keyed and take every pair, so a pass over any of them checks a
-    pair whose tuple of keys held before by one set lookup.
+    keys all pass or all fail.  The PAIR claims are all keyed and take
+    every pair, so a pass over any of them calls the conclusions once per
+    tuple of keys that held, and on every instance of a failing tuple, to
+    name that instance's own counterexamples; a pair whose tuple of keys
+    held before is checked by one set lookup (see `_check`).
 
     A MAP claim is checked on every map (its hypothesis is `_always`) and
     is keyed by the target's pool position and the map's image set, so that
@@ -776,19 +760,17 @@ def _check(claims, instances, skipped=0):
     """Claims of one scope in one pass over its instances.
 
     An instance failing a claim's hypothesis is one skip, as is each of
-    `skipped` instances the pass never sees.  A keyed claim's conclusion
-    runs on the first instance of each key, and again only on later
-    instances of a key that failed.  When every claim is keyed and takes
-    every instance, the pass also keeps each tuple of their keys at which
-    every claim held, and counts a later instance with that tuple as
-    checked for every claim at the cost of one set lookup; any other
-    instance takes the per-claim path, so each failing instance is named.
-    The keys and tuples that held are kept for this pass alone, so for one
+    `skipped` instances the pass never sees.  When every claim is keyed
+    and takes every instance (the pair pass), the pass keeps each tuple of
+    their keys at which every claim held, and counts a later instance with
+    that tuple as checked for every claim at the cost of one set lookup;
+    any other instance runs every conclusion, so each failing instance is
+    named.  The tuples that held are kept for this pass alone, so for one
     `--jobs` part.  Returns claim id -> (checked, skipped,
     counterexamples), the counterexamples in instance order.
     """
     tallies = {c: [0, skipped, []] for c in claims}
-    specs = [(*CLAIMS[c], tallies[c], set()) for c in claims]
+    specs = [(*CLAIMS[c], tallies[c]) for c in claims]
     signed = all(CLAIMS[c].hypothesis is _always and CLAIMS[c].key is not None
                  for c in claims)
     keys = tuple(dict.fromkeys(CLAIMS[c].key for c in claims))
@@ -799,23 +781,14 @@ def _check(claims, instances, skipped=0):
             if signature in held:
                 repeats += 1
                 continue
-        else:
-            signature = None
         every_held = True
-        for _, hypothesis, conclusion, subsets, key, tally, holding in specs:
+        for _, hypothesis, conclusion, subsets, _, tally in specs:
             if not hypothesis(inst):
                 tally[1] += 1
                 continue
             if subsets is None:
                 tally[0] += 1
-                if key is None:
-                    found = conclusion(inst)
-                elif key(inst) in holding:
-                    found = ()
-                else:
-                    found = conclusion(inst)
-                    if not found:
-                        holding.add(key(inst))
+                found = conclusion(inst)
             else:
                 n, chosen = subsets(inst)
                 count = chosen.bit_count()
@@ -826,7 +799,7 @@ def _check(claims, instances, skipped=0):
             for extra, witness in found:
                 every_held = False
                 tally[2].append(Counterexample(inst.context + extra, witness))
-        if signature is not None and every_held:
+        if signed and every_held:
             held.add(signature)
     for tally in tallies.values():
         tally[0] += repeats

@@ -323,7 +323,7 @@ def _pair_facts(p):
                                    {"sizes": (3,), "up_to_iso": True}])
 def test_kernel_claim_keys_fix_what_the_conclusions_read(scope):
     pool = harness._pool_for(**scope)
-    pairs = [p for p in harness._ohom_pairs(pool) if p is not None]
+    pairs = list(harness._ohom_pairs(pool))
     groups = _grouped(pairs, lambda p: p.kernels, _pair_facts)
     assert len(groups) < len(pairs)  # the memo has work to save
     assert all(len(facts) == 1 for facts in groups.values())
@@ -405,8 +405,7 @@ def _same_kernel_no_hom(real):
 
 def test_pairs_differing_only_in_the_pair_kernel_get_their_own_verdicts():
     pool = harness._pool_for(sizes=(1, 2))
-    real = next(p for p in harness._ohom_pairs(pool)
-                if p is not None and len(p.k) < p.k.universe.n)
+    real = next(p for p in harness._ohom_pairs(pool) if len(p.k) < p.k.universe.n)
     fake = _onto_unit(real)
     assert fake.kernels[:4] == real.kernels[:4] and fake.k.mask != real.k.mask
     for claim in _KERNEL_CLAIMS:
@@ -419,8 +418,7 @@ def test_pairs_differing_only_in_the_pair_kernel_get_their_own_verdicts():
 
 def test_pairmap_ohom_names_the_classify_witness_of_a_fabricated_pair():
     pool = harness._pool_for(sizes=(1, 2))
-    real = next(p for p in harness._ohom_pairs(pool)
-                if p is not None and p.target.combined.n > 1)
+    real = next(p for p in harness._ohom_pairs(pool) if p.target.combined.n > 1)
     fake = _unit_elsewhere(real)
     assert real.ohom and harness._pairmap_ohom(real) == ()
     # the first witness of an uncapped classification
@@ -433,7 +431,7 @@ def test_pairmap_ohom_names_the_classify_witness_of_a_fabricated_pair():
 
 
 def _real_pairs(scope):
-    return [p for p in harness._ohom_pairs(harness._pool_for(**scope)) if p is not None]
+    return list(harness._ohom_pairs(harness._pool_for(**scope)))
 
 
 @pytest.mark.parametrize("scope, count", [({"sizes": (1, 2)}, 121),
@@ -493,15 +491,33 @@ def test_pair_pass_decides_every_pair_and_names_only_failing_pairs(monkeypatch):
     monkeypatch.setattr(harness, "decide_laws", counted_laws)
     _patch_conclusion(monkeypatch, "T-pairmap-ohom", counted_pairmap_ohom)
     reports = verify_all(_PAIR_CLAIMS, sizes=(3,), up_to_iso=True)
-    # each pair's own table decided, the first O-hom pair's law alone named
+    # each pair's own table decided, the law named once per key tuple
     assert len(decided) == 5625
     assert [r.instances_checked for r in reports] == [5625] * 4
-    assert len(named) == 1 and named[0].ohom
+    assert len(named) == 256 and all(p.ohom for p in named)
     pairs = _real_pairs({"sizes": (3,), "up_to_iso": True})
+    firsts = {}  # key tuple -> its first pair
+    for p in pairs:
+        firsts.setdefault(_signature(p), p)
+    assert list(firsts.values()) == named
     fake = _unit_elsewhere(next(p for p in pairs if p.target.combined.n > 1))
     named.clear()
     harness._check(_PAIR_CLAIMS, [fake, *pairs, fake])
-    assert named == [fake, pairs[0], fake]
+    assert named == [fake, *firsts.values(), fake]
+
+
+def test_pair_pass_certifies_each_product_once(monkeypatch):
+    certified = []
+    certify = harness.direct_product
+
+    def counted(left, right, **kwargs):
+        certified.append((left, right))
+        return certify(left, right, **kwargs)
+
+    monkeypatch.setattr(harness, "direct_product", counted)
+    verify_all(_PAIR_CLAIMS, sizes=(3,), up_to_iso=True)
+    # the 6 x 6 products of the six classes, sources and targets alike
+    assert len(certified) == len(set(certified)) == 36
 
 
 def test_a_product_that_fails_certification_raises(monkeypatch):
