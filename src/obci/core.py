@@ -264,32 +264,6 @@ class Subset(_Value):
     def __len__(self) -> int:
         return self.mask.bit_count()
 
-    def _check_universe(self, other: "Subset") -> None:
-        if self.universe != other.universe:
-            raise UniverseMismatchError(
-                f"subsets live over different carriers "
-                f"({self.universe.name!r} vs {other.universe.name!r})"
-            )
-
-    def union(self, other: "Subset") -> "Subset":
-        self._check_universe(other)
-        return Subset(self.universe, self.mask | other.mask)
-
-    def intersection(self, other: "Subset") -> "Subset":
-        self._check_universe(other)
-        return Subset(self.universe, self.mask & other.mask)
-
-    def difference(self, other: "Subset") -> "Subset":
-        self._check_universe(other)
-        return Subset(self.universe, self.mask & ~other.mask)
-
-    def complement(self) -> "Subset":
-        return Subset(self.universe, ((1 << self.universe.n) - 1) & ~self.mask)
-
-    def issubset(self, other: "Subset") -> bool:
-        self._check_universe(other)
-        return self.mask & ~other.mask == 0
-
 
 class ValidatedAlgebra(NamedTuple):
     """A structure certified against all six axioms; made only by `certified`.

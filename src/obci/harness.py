@@ -11,10 +11,11 @@ matrices provides the independent completeness oracle at small sizes.
 Claims are data: `CLAIMS` gives each claim id its scope (the algebras,
 the maps or the ordered pairs of O-homomorphisms of a sweep), a
 hypothesis and a conclusion, and `CLAIM_IDS` is its key order.
-`verify_claim` machine-checks one claim over a scope (enumerated sizes or
-the bundled fixtures), counting hypothesis-skipped instances and
-collecting counterexamples; `find_counterexample` answers
-separating-example queries such as "hom-not-omap".
+`verify_all` machine-checks claims over a scope (enumerated sizes or the
+bundled fixtures), counting hypothesis-skipped instances and collecting
+counterexamples, and `verify_claim` is `verify_all` of one claim;
+`find_counterexample` answers separating-example queries such as
+"hom-not-omap".
 
 Subset predicates are decided once per algebra: the pool keeps an atlas
 (`substructures.Atlas`) of each algebra, one bitset per predicate over
@@ -22,7 +23,9 @@ all subset masks, so hypotheses and subset loops read bits, and images
 and preimages are mask arithmetic over the map's table.  A predicate
 itself runs again only to name the witness of a failure the atlas shows.
 
-The claims a sweep asks for are checked in one pass per scope: over the
+The claims a sweep asks for are checked in one pass per scope, and
+`_run_part` is the one place the passes run, each through `_run_pass`,
+in the order the scopes first occur among the claims: over the
 algebras; over the O-homomorphisms, working out each one's surjectivity,
 unit preservation and reflection once; over every map, for
 `P-kernel-alt`; and over the O-homomorphism pairs, building each product
@@ -210,18 +213,15 @@ class _Pool:
     algebras, or the explicit fixture maps (`map_blocks`), from which
     `_check_maps` decides `P-kernel-alt` per (target, image set); and the
     O-homomorphisms among them (`ohoms`), the one list the O-hom pass and
-    the pair pass read.  The other maps are counted, not built."""
+    the pair pass read.  The other maps are counted, not built.  It holds
+    scope data only: the claims of a pass and its slice are arguments of
+    `_run_pass`."""
 
     def __init__(self, algebras: list[ValidatedAlgebra],
                  fixture_maps: list[Mapping] | None = None):
         self.algebras = algebras
         self.fixture_maps = fixture_maps
         self._position = {a.structure: i for i, a in enumerate(algebras)}
-        # The claims a sweep asks for, checked together per scope on the
-        # first request, and the slice (k, parts) of every pass they cover.
-        self.claims: tuple[str, ...] = ()
-        self.part = (0, 1)
-        self._results: dict[str, tuple] = {}
 
     @cached_property
     def atlas(self) -> list[Atlas]:
@@ -262,46 +262,12 @@ class _Pool:
         return [(i, j, m, kernel(m)) for i, j, m in self.homs()
                 if i is not None and j is not None and classify(m).is_ohom]
 
-    def part_of(self, items):
-        """Slice k of `items` cut into `parts` contiguous slices, for
-        `part` = (k, parts)."""
-        k, parts = self.part
-        return items[k * len(items) // parts:(k + 1) * len(items) // parts]
 
-    def instances(self, scope: str):
-        """The instances of the ALGEBRA or OHOM pass in slice `part`, or the
-        pairs whose first factor lies in it, in order (see `_ohom_pairs`).
-        The MAP pass reads `map_blocks`."""
-        if scope == ALGEBRA:
-            return (_AlgebraFacts(self.algebras[i], self.atlas[i])
-                    for i in self.part_of(range(len(self.algebras))))
-        if scope == OHOM:
-            return (_MapFacts(m, ker.mask, self.atlas[i], self.atlas[j])
-                    for i, j, m, ker in self.part_of(self.ohoms))
-        return _ohom_pairs(self)
-
-    def sweep(self, claim: str):
-        """One claim's (checked, skipped, counterexamples) over slice `part`.
-
-        The first request for a scope checks it together with the other
-        `claims` of that scope in one pass; later requests read the result.
-        Part 0 runs the map pass whole and counts each map the O-hom pass
-        never sees as one skip, so that the parts add up to each once.
-        """
-        if claim not in self._results:
-            scope = CLAIMS[claim].scope
-            claims = [c for c in dict.fromkeys((claim, *self.claims))
-                      if CLAIMS[c].scope == scope]
-            first = self.part[0] == 0
-            if scope == MAP:
-                results = _check_maps(claims, self) if first else _check(claims, ())
-            else:
-                unseen = 0
-                if scope == OHOM and first:
-                    unseen = sum(count for _, _, count, _ in self.map_blocks()) - len(self.ohoms)
-                results = _check(claims, self.instances(scope), unseen)
-            self._results.update(results)
-        return self._results[claim]
+def _part_of(items, part):
+    """Slice k of `items` cut into `parts` contiguous slices, for `part` =
+    (k, parts)."""
+    k, parts = part
+    return items[k * len(items) // parts:(k + 1) * len(items) // parts]
 
 
 def _pool_for(sizes=None, fixtures=None, *, up_to_iso=False) -> _Pool:
@@ -449,9 +415,9 @@ class _OhomPair(NamedTuple):
                      for tag, f in (("f1", self.f1), ("f2", self.f2)))
 
 
-def _ohom_pairs(pool: _Pool):
-    """The ordered pairs of O-homs whose first factor lies in slice
-    `pool.part` of `pool.ohoms`, in pair order.
+def _ohom_pairs(pool: _Pool, part):
+    """The ordered pairs of O-homs whose first factor lies in slice `part`
+    = (k, parts) of `pool.ohoms`, in pair order.
 
     Products are cached for the pass by the pool positions of their
     factors and certified by `direct_product` once each.  Every OBCI axiom
@@ -476,7 +442,7 @@ def _ohom_pairs(pool: _Pool):
                                f"algebras is not an algebra")
         return product
 
-    for s1, t1, f1, k1 in pool.part_of(pool.ohoms):
+    for s1, t1, f1, k1 in _part_of(pool.ohoms, part):
         for s2, t2, f2, k2, rows in seconds:
             src, dst = product_of(s1, s2), product_of(t1, t2)
             table = pair_table(f1, rows)
@@ -862,13 +828,11 @@ def _known(claim: str) -> str:
     return claim
 
 
-def verify_claim(claim: str, *, sizes=None, fixtures=None, up_to_iso: bool = False,
-                 _pool: _Pool | None = None) -> SweepReport:
-    """Machine-check one claim over the scope; see CLAIM_IDS for names."""
-    _known(claim)
-    pool = _pool if _pool is not None else _pool_for(sizes, fixtures, up_to_iso=up_to_iso)
-    checked, skipped, ces = pool.sweep(claim)
-    return SweepReport(claim, checked, skipped, tuple(ces))
+def verify_claim(claim: str, *, sizes=None, fixtures=None,
+                 up_to_iso: bool = False) -> SweepReport:
+    """Machine-check one claim over the scope, as `verify_all` of that claim
+    alone; see CLAIM_IDS for names."""
+    return verify_all((claim,), sizes=sizes, fixtures=fixtures, up_to_iso=up_to_iso)[0]
 
 
 def verify_all(claims=CLAIM_IDS, *, sizes=None, fixtures=None,
@@ -891,19 +855,48 @@ def verify_all(claims=CLAIM_IDS, *, sizes=None, fixtures=None,
             for c, *reports in zip(claims, *parts)]
 
 
+def _run_pass(pool: _Pool, scope: str, claims, part):
+    """The claims of one scope in one pass over slice `part` = (k, parts) of
+    its instances: the algebras, the O-homs, or the pairs' first factors.
+    Returns claim id -> (checked, skipped, counterexamples).
+
+    Part 0 runs the map pass whole and counts each map the O-hom pass never
+    sees as one skip, so that the parts add up to each once; the other
+    parts report zero for the MAP claims.
+    """
+    first = part[0] == 0
+    if scope == MAP:
+        return _check_maps(claims, pool) if first else _check(claims, ())
+    unseen = 0
+    if scope == ALGEBRA:
+        instances = (_AlgebraFacts(pool.algebras[i], pool.atlas[i])
+                     for i in _part_of(range(len(pool.algebras)), part))
+    elif scope == OHOM:
+        instances = (_MapFacts(m, ker.mask, pool.atlas[i], pool.atlas[j])
+                     for i, j, m, ker in _part_of(pool.ohoms, part))
+        if first:
+            unseen = sum(count for _, _, count, _ in pool.map_blocks()) - len(pool.ohoms)
+    else:
+        instances = _ohom_pairs(pool, part)
+    return _check(claims, instances, unseen)
+
+
 def _run_part(claims, scope, k, parts):
     """Part k of `parts`: each claim's report over slice k of the algebras,
     the O-homs and the O-hom pairs' first factors, and in part 0 over every
-    map, in claim order.  It builds the pool only if it has a claim."""
+    map, in claim order.  This is the one place passes run: one per scope,
+    in the order the scopes first occur among `claims`, over one pool,
+    built only if there is a claim."""
     if not claims:
         return []
     sizes, fixtures, up_to_iso = scope
     pool = _pool_for(sizes, fixtures, up_to_iso=up_to_iso)
-    pool.claims = claims
-    pool.part = (k, parts)
-    # Through verify_claim, one call per claim, so that claim-level hooks
-    # (timing, tracing) see each claim in every part.
-    return [verify_claim(c, _pool=pool) for c in claims]
+    results = {}
+    for s in dict.fromkeys(CLAIMS[c].scope for c in claims):
+        group = [c for c in dict.fromkeys(claims) if CLAIMS[c].scope == s]
+        results.update(_run_pass(pool, s, group, (k, parts)))
+    return [SweepReport(c, checked, skipped, tuple(ces))
+            for c in claims for checked, skipped, ces in [results[c]]]
 
 
 def _run_in_workers(args, jobs):

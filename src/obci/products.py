@@ -47,9 +47,6 @@ class ProductAlgebra(NamedTuple):
     def pair_index(self, x1: int, x2: int) -> int:
         return x1 * self.right.n + x2
 
-    def unpair(self, i: int) -> tuple[int, int]:
-        return divmod(i, self.right.n)
-
 
 def product_structure(x1: RawStructure, x2: RawStructure) -> RawStructure:
     n1, n2 = x1.n, x2.n

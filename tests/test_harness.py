@@ -98,7 +98,7 @@ def test_bijection_claims_have_genuine_counterexamples_at_size_three():
     assert ker.mask == a.cone.mask
     filters = [Subset(a.structure, m) for m in range(1 << a.n)]
     filters = [S for S in filters if is_filter(a.structure, S, witness_cap=1).holds]
-    containing = [S for S in filters if ker.issubset(S)]
+    containing = [S for S in filters if ker.mask & ~S.mask == 0]
     assert len(filters) == 4
     assert len(containing) == 2  # no bijection between the two families
 
@@ -323,7 +323,7 @@ def _pair_facts(p):
                                    {"sizes": (3,), "up_to_iso": True}])
 def test_kernel_claim_keys_fix_what_the_conclusions_read(scope):
     pool = harness._pool_for(**scope)
-    pairs = list(harness._ohom_pairs(pool))
+    pairs = list(harness._ohom_pairs(pool, (0, 1)))
     groups = _grouped(pairs, lambda p: p.kernels, _pair_facts)
     assert len(groups) < len(pairs)  # the memo has work to save
     assert all(len(facts) == 1 for facts in groups.values())
@@ -405,7 +405,7 @@ def _same_kernel_no_hom(real):
 
 def test_pairs_differing_only_in_the_pair_kernel_get_their_own_verdicts():
     pool = harness._pool_for(sizes=(1, 2))
-    real = next(p for p in harness._ohom_pairs(pool) if len(p.k) < p.k.universe.n)
+    real = next(p for p in harness._ohom_pairs(pool, (0, 1)) if len(p.k) < p.k.universe.n)
     fake = _onto_unit(real)
     assert fake.kernels[:4] == real.kernels[:4] and fake.k.mask != real.k.mask
     for claim in _KERNEL_CLAIMS:
@@ -418,7 +418,7 @@ def test_pairs_differing_only_in_the_pair_kernel_get_their_own_verdicts():
 
 def test_pairmap_ohom_names_the_classify_witness_of_a_fabricated_pair():
     pool = harness._pool_for(sizes=(1, 2))
-    real = next(p for p in harness._ohom_pairs(pool) if p.target.combined.n > 1)
+    real = next(p for p in harness._ohom_pairs(pool, (0, 1)) if p.target.combined.n > 1)
     fake = _unit_elsewhere(real)
     assert real.ohom and harness._pairmap_ohom(real) == ()
     # the first witness of an uncapped classification
@@ -431,7 +431,7 @@ def test_pairmap_ohom_names_the_classify_witness_of_a_fabricated_pair():
 
 
 def _real_pairs(scope):
-    return list(harness._ohom_pairs(harness._pool_for(**scope)))
+    return list(harness._ohom_pairs(harness._pool_for(**scope), (0, 1)))
 
 
 @pytest.mark.parametrize("scope, count", [({"sizes": (1, 2)}, 121),
@@ -580,7 +580,7 @@ def test_map_pass_classifies_each_hom_once_and_no_other_map(monkeypatch):
     assert all(classify(m).is_hom for m in calls)
 
 
-def test_ohom_pass_sees_exactly_the_ohoms_at_size_four():
+def test_ohom_pass_sees_exactly_the_ohoms_at_size_four(monkeypatch):
     pool = harness._pool_for(sizes=(1, 2, 3, 4), up_to_iso=True)
     homs = [(m.source.name, m.target.name, m.table) for _, _, m in pool.homs()]
     ohoms = [(m.source.name, m.target.name, m.table) for _, _, m, _ in pool.ohoms]
@@ -588,7 +588,16 @@ def test_ohom_pass_sees_exactly_the_ohoms_at_size_four():
     # the one hom that is no O-map: the identity n4-31 -> n4-30
     assert set(homs) - set(ohoms) == {("n4-31", "n4-30", (0, 1, 2, 3))}
     assert all(ker.mask == kernel(m).mask for _, _, m, ker in pool.ohoms)
-    assert [f.m for f in pool.instances(harness.OHOM)] == [m for _, _, m, _ in pool.ohoms]
+    seen, check = [], harness._check
+
+    def recorded(claims, instances, skipped=0):
+        instances = list(instances)
+        seen.extend(instances)
+        return check(claims, instances, skipped)
+
+    monkeypatch.setattr(harness, "_check", recorded)
+    harness._run_pass(pool, harness.OHOM, ["P-monotone"], (0, 1))
+    assert [f.m for f in seen] == [m for _, _, m, _ in pool.ohoms]
 
 
 @pytest.mark.parametrize("parts", [1, 2, 3])
@@ -602,6 +611,27 @@ def test_maps_the_ohom_pass_never_sees_are_skipped_once(parts):
         assert sum(r.instances_checked for r in per_part) == 4605
         assert [r.hypothesis_skipped for r in per_part] == [310994 - 4605] + [0] * (parts - 1)
         assert all(r.verified for r in per_part)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_a_part_runs_each_scope_pass_once(monkeypatch, k):
+    passes, check, check_maps = [], harness._check, harness._check_maps
+
+    def counted(run):
+        def pass_(claims, *args):
+            passes.append((run.__name__, {harness.CLAIMS[c].scope for c in claims}))
+            return run(claims, *args)
+        return pass_
+
+    monkeypatch.setattr(harness, "_check", counted(check))
+    monkeypatch.setattr(harness, "_check_maps", counted(check_maps))
+    reports = harness._run_part(CLAIM_IDS, ((1, 2), None, False), k, 3)
+    assert [r.claim for r in reports] == list(CLAIM_IDS)
+    # one pass per scope, in the order the scopes first occur among the
+    # claims; part 0 runs the map pass whole, the others check no map
+    maps = "_check_maps" if k == 0 else "_check"
+    assert passes == [("_check", {harness.ALGEBRA}), ("_check", {harness.OHOM}),
+                      (maps, {harness.MAP}), ("_check", {harness.PAIR})]
 
 
 def test_hom_not_omap_search_classifies_the_homs_up_to_its_hit(monkeypatch):
