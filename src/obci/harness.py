@@ -270,19 +270,16 @@ def _part_of(items, part):
     return items[k * len(items) // parts:(k + 1) * len(items) // parts]
 
 
-def _pool_for(sizes=None, fixtures=None, *, up_to_iso=False) -> _Pool:
-    if fixtures is not None:
-        names = list(fixtures) if fixtures is not True else None
-        algebras = []
-        for name, s in fixture_lib.ALGEBRAS.items():
-            if names is not None and name not in names:
-                continue
-            v = fixture_lib.validated(name)
-            if v is not None:
-                algebras.append(v)
-        maps = [m for name, m in fixture_lib.MAPS.items()
-                if names is None or name in names]
-        return _Pool(algebras, fixture_maps=maps)
+def _pool_for(sizes=None, fixtures=False, *, up_to_iso=False) -> _Pool:
+    """The pool of a scope: every bundled fixture algebra that validates and
+    every fixture map when `fixtures` is True, else the algebras of `sizes`
+    (1 to 3 by default); None reads as False."""
+    if fixtures is True:
+        algebras = [v for v in map(fixture_lib.validated, fixture_lib.ALGEBRAS)
+                    if v is not None]
+        return _Pool(algebras, fixture_maps=list(fixture_lib.MAPS.values()))
+    if fixtures is not False and fixtures is not None:
+        raise TypeError(f"fixtures is a flag (True, False or None), got {fixtures!r}")
     if sizes is None:
         sizes = (1, 2, 3)
     algebras = []
@@ -778,20 +775,18 @@ def _check_maps(claims, pool):
 
     Every map of a block between pool algebras (see `_Pool.map_blocks`)
     counts as checked, every other map as skipped.  Each claim is decided
-    once per key (target, image set I), on a representative map into the
-    target from the pool's largest algebra.  A block is walked, in map
-    order, only when a key of its target fails, and then only to name each
-    map whose key failed.
+    once per key (target, image set I), on a representative map from the
+    target to itself.  A block is walked, in map order, only when a key of
+    its target fails, and then only to name each map whose key failed.
     """
     tallies = {c: [0, 0, []] for c in claims}
-    widest = max((a.structure for a in pool.algebras), key=attrgetter("n"), default=None)
     failing = {}  # target position -> the (claim, key) pairs failing there
 
     def failing_at(j: int) -> set:
         if j not in failing:
             target = pool.algebras[j].structure
-            reps = [_Map(_representative(widest, target, image), j)
-                    for image in range(1, 1 << target.n) if image.bit_count() <= widest.n]
+            reps = [_Map(_representative(target, image), j)
+                    for image in range(1, 1 << target.n)]
             failing[j] = {(c, CLAIMS[c].key(rep)) for c in claims for rep in reps
                           if CLAIMS[c].conclusion(rep)}
         return failing[j]
@@ -815,11 +810,11 @@ def _check_maps(claims, pool):
     return {c: tuple(t) for c, t in tallies.items()}
 
 
-def _representative(source: RawStructure, target: RawStructure, image: int) -> Mapping:
-    """A map source -> target with the given image set, of at most
-    source.n elements: its members in ascending order, the last repeated."""
+def _representative(target: RawStructure, image: int) -> Mapping:
+    """A map target -> target with the given nonempty image set: its members
+    in ascending order, the last repeated."""
     members = [v for v in range(target.n) if image >> v & 1]
-    return Mapping(source, target, members + members[-1:] * (source.n - len(members)))
+    return Mapping(target, target, members + members[-1:] * (target.n - len(members)))
 
 
 def _known(claim: str) -> str:
@@ -828,14 +823,14 @@ def _known(claim: str) -> str:
     return claim
 
 
-def verify_claim(claim: str, *, sizes=None, fixtures=None,
+def verify_claim(claim: str, *, sizes=None, fixtures=False,
                  up_to_iso: bool = False) -> SweepReport:
     """Machine-check one claim over the scope, as `verify_all` of that claim
     alone; see CLAIM_IDS for names."""
     return verify_all((claim,), sizes=sizes, fixtures=fixtures, up_to_iso=up_to_iso)[0]
 
 
-def verify_all(claims=CLAIM_IDS, *, sizes=None, fixtures=None,
+def verify_all(claims=CLAIM_IDS, *, sizes=None, fixtures=False,
                up_to_iso: bool = False, jobs: int = 1) -> list[SweepReport]:
     """Run several claims over one shared scope, split into `jobs` parts.
 
@@ -962,7 +957,7 @@ def _worker(conn, *args):
 SEARCH_QUERIES = ("hom-not-omap", "omap-not-hom")
 
 
-def find_counterexample(query: str, *, sizes=None, fixtures=None,
+def find_counterexample(query: str, *, sizes=None, fixtures=False,
                         up_to_iso: bool = False) -> Counterexample | None:
     """First witness for a separating-example query or a claim id."""
     if query in SEARCH_QUERIES:

@@ -2,29 +2,34 @@
 
 Every operation table / cone pair on {0..n-1} with the unit fixed at 0
 is a candidate: the unit row is forced to the identity and the relation
-is taken as cone-generated, so the linking axiom holds by construction.
-For each cone mask (ascending, bit 0 always set) the non-unit cells are
-filled in row-major order, each trying its values in ascending order, so
-the surviving tables come out in row-major lexicographic order.  A
-partial table is dropped as soon as an axiom instance whose cells are
-all assigned fails; at a leaf every cell is assigned and the same check
-is the full check of the six axioms.  This is the finite-model search of
-SEM and Mace4, without their propagation.
+is taken as cone-generated, so the linking axiom (OBCI-5) holds by
+construction.  For each cone mask (ascending, bit 0 always set) the
+non-unit cells are filled in row-major order, each trying its values in
+ascending order, so the surviving tables come out in row-major
+lexicographic order.  A partial table is dropped as soon as an OBCI-1, 4
+or 6 instance whose cells are all assigned fails.  At a leaf every cell
+is assigned, and that check is the full check of the six axioms: with
+the unit row the identity, OBCI-2 at (y, z) is OBCI-1 at (e, y, z) and
+OBCI-3 at y is OBCI-1 at (e, e, y), and OBCI-5 holds by construction.
+The axioms themselves live in `core.AXIOMS`; the three checked here are
+re-encoded over partial tables as pruning constraints.  This is the
+finite-model search of SEM and Mace4, without their propagation.
 """
 
 from __future__ import annotations
 
 
 def _fails(rng: range, op: list[list], cone: list[bool]) -> bool:
-    """True when an axiom instance reading only assigned cells fails.
+    """True when an OBCI-1, 4 or 6 instance reading only assigned cells fails.
 
-    Unassigned cells hold None.  "unit <= w" is cone[w], and "unit <= x"
-    is cone[x] because the unit row is the identity.
+    One pass over the assigned cells (x, y), with v = x->y: OBCI-4 and
+    OBCI-6 on v, then the OBCI-1 instances (x, y, z) over z.  Unassigned
+    cells hold None.  "unit <= w" is cone[w], and "unit <= x" is cone[x]
+    because the unit row is the identity.  That same row makes the OBCI-2
+    instance (y, z) the OBCI-1 instance (e, y, z) and the OBCI-3 instance
+    y the OBCI-1 instance (e, e, y), each reading the same cells, so
+    neither needs a check of its own; OBCI-5 holds by construction.
     """
-    for x in rng:
-        v = op[x][x]
-        if v is not None and not cone[v]:                  # x <= x
-            return True
     for x in rng:
         row_x = op[x]
         for y in rng:
@@ -32,27 +37,16 @@ def _fails(rng: range, op: list[list], cone: list[bool]) -> bool:
             if v is None:
                 continue
             if cone[v]:
-                if x != y:                                 # antisymmetry
+                if x != y:                                 # OBCI-4
                     w = op[y][x]
                     if w is not None and cone[w]:
                         return True
-                if cone[x] and not cone[y]:                # cone upward closure
+                if cone[x] and not cone[y]:                # OBCI-6
                     return True
-            w = op[v][y]
-            if w is not None:                              # x <= (x->y)->y
-                w = row_x[w]
-                if w is not None and not cone[w]:
-                    return True
-    for x in rng:
-        row_x = op[x]
-        for y in rng:
-            v = row_x[y]
-            if v is None:
-                continue
             a = op[v]
             row_y = op[y]
             for z in rng:
-                # (x->y) <= (y->z)->(x->z)
+                # OBCI-1: (x->y) <= (y->z)->(x->z)
                 p, q = row_y[z], row_x[z]
                 if p is None or q is None:
                     continue

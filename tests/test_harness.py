@@ -15,8 +15,8 @@ from obci import (
     verify_all,
     verify_claim,
 )
-from obci import harness, morphisms, scan
-from obci.core import BudgetError, check_derived_identities
+from obci import fixtures, harness, morphisms, scan
+from obci.core import BudgetError, RawStructure, check_derived_identities
 from obci.harness import CLAIM_IDS
 from obci.morphisms import classify, identity_map, image_mask
 from obci.substructures import Atlas, is_filter
@@ -120,18 +120,31 @@ def test_sweep_reports_are_deterministic():
 
 
 def test_bijection_claim_on_the_bundled_fixture():
-    r = verify_claim("T-filter-bijection",
-                     fixtures=("exy", "ea", "exy-to-ea"))
-    assert r.verified
-    assert r.instances_checked == 1
-    # the ordered variant fails even here: the source family needs
-    # F over ker = {e,x} and inside the cone = {e}, so it is empty while
-    # the target family has two members
-    r = verify_claim("T-ordfilter-bijection",
-                     fixtures=("exy", "ea", "exy-to-ea"))
-    assert not r.verified
-    laws = {c for ce in r.counterexamples for c in ce.context if c.startswith("law=")}
-    assert "law=surjective" in laws or "law=preimage-in-family" in laws
+    # exy-to-ea and exy-id run; maps touching mid3/diamond/chain4 are
+    # hypothesis-skipped
+    r = verify_claim("T-filter-bijection", fixtures=True)
+    assert (r.instances_checked, r.hypothesis_skipped, r.verified) == (2, 3, True)
+    # the ordered variant fails even here: for exy-to-ea the source family
+    # needs F over ker = {e,x} and inside the cone = {e}, so it is empty
+    # while the target family has two members
+    r = verify_claim("T-ordfilter-bijection", fixtures=True)
+    assert len(r.counterexamples) == 7
+    exy_to_ea = [ce.context[3:] for ce in r.counterexamples
+                 if ce.context[2] == "map=exy-to-ea"]
+    assert exy_to_ea == [("law=surjective",),
+                         ("law=preimage-in-family", "G={e}"),
+                         ("law=preimage-in-family", "G={e,a}")]
+
+
+def test_fixtures_is_a_flag():
+    default = verify_all(("T-kernel-filter", "P-kernel-alt"))
+    assert verify_all(("T-kernel-filter", "P-kernel-alt"), fixtures=False) == default
+    assert verify_all(("T-kernel-filter", "P-kernel-alt"), fixtures=None) == default
+    for bad in (("exy", "ea", "exy-to-ea"), "exy", ["exy"], 1):
+        with pytest.raises(TypeError):
+            verify_claim("T-kernel-filter", fixtures=bad)
+        with pytest.raises(TypeError):
+            find_counterexample("omap-not-hom", fixtures=bad)
 
 
 def test_fixture_scope_skips_unvalidated_endpoints():
@@ -561,6 +574,74 @@ def test_witness_names_the_first_witness_of_a_failing_subset_check():
             assert harness._witness(harness.FILTER, atlas, s, mask) == expected
             failing += not report.holds
     assert failing
+
+
+# --- every counterexample branch, on fabricated instances ---------------------
+
+def _facts(source, target, table, ker=None):
+    """A `_MapFacts` of any map, O-hom or not, with its own kernel unless
+    `ker` names another mask."""
+    m = morphisms.Mapping(source, target, table)
+    return harness._MapFacts(m, kernel(m).mask if ker is None else ker,
+                             Atlas.of(source), Atlas.of(target))
+
+
+def _algebra(name):
+    if name in fixtures.ALGEBRAS:
+        return fixtures.ALGEBRAS[name]
+    n = int(name[1])
+    return next(a.structure for a in enumerate_obci(n, up_to_iso=n == 3) if a.name == name)
+
+
+# A structure whose unit arrow e->e leaves the cone {e}: it fails OBCI-3.
+_NOT_REFLEXIVE = RawStructure("bad", ("e", "a"), ((1, 0), (0, 0)), 0,
+                              ((True, False), (True, True)))
+
+_BRANCHES = [
+    # (claim, source, target, table, ker, (checked, skipped), [(extra context, witness)])
+    ("T-filter-preimage", "exy", "ea", (0, 1, 0), None, (2, 2),
+     [(("G={e}", "result={e,y}"), (2, 1))]),
+    ("T-kernel-filter", "exy", "ea", (0, 1, 0), None, (1, 0), [(("ker={e,y}",), (2, 1))]),
+    ("P-monotone", "exy", "ea", (0, 1, 0), None, (1, 0), [((), ("order", 1, 0))]),
+    ("T-filter-bijection", "exy", "ea", (0, 1, 1), None, (1, 0),
+     [(("law=preimage-inverts", "F={e,x}"), ("e", "a")), (("law=injective",), ())]),
+    ("T-filter-image", "n3-0", "n3-0", (0, 2, 1), None, (3, 5),
+     [(("F={e,b}", "result={e,a}"), (1, 2))]),
+    ("T-filter-bijection", "n3-0", "n3-0", (0, 2, 1), None, (1, 0),
+     [(("law=image-in-family", "F={e,b}"), ("e", "a")), (("law=surjective",), ()),
+      (("law=preimage-in-family", "G={e,b}"), ("e", "a"))]),
+    ("P-closed-kernel", "n1-0", "n2-0", (1,), None, (1, 0), [(("case=closed",), (0,))]),
+    ("P-monotone", "n1-0", "n2-0", (1,), None, (1, 0), [((), ("unit-image",))]),
+    # {e,a} is not the kernel {e,b}: neither closed nor ordered-closed
+    ("T-kernel-closed-converse", "n3-5", "n2-0", (0, 1, 0), 0b011, (1, 0),
+     [(("ker={e,a}", "law=subalgebra"), (1, 0)),
+      (("ker={e,a}", "law=ordered-subalgebra"), (1, 0))]),
+    ("P-monotone", "n1-0", _NOT_REFLEXIVE, (0,), None, (1, 0), [((), ("unit-selfarrow",))]),
+]
+
+
+@pytest.mark.parametrize("claim,source,target,table,ker,tally,found", _BRANCHES)
+def test_counterexample_branches_name_their_context_and_witness(
+        claim, source, target, table, ker, tally, found):
+    source = _algebra(source)
+    target = target if isinstance(target, RawStructure) else _algebra(target)
+    f = _facts(source, target, table, ker)
+    context = (f"X={source.name}", f"Y={target.name}",
+               "map=(" + ",".join(map(str, table)) + ")")
+    assert harness._check([claim], [f])[claim] == \
+        (*tally, [harness.Counterexample(context + extra, w) for extra, w in found])
+
+
+def test_ksets_names_sides_that_differ_and_a_missing_unit():
+    pool = harness._pool_for(sizes=(1,))
+    real = next(harness._ohom_pairs(pool, (0, 1)))
+    # K1 = {} is no kernel, so K1 x ker f2 misses the unit pair and the
+    # second side's ker f1 x K2
+    fake = real._replace(k1=Subset(real.f1.source, 0),
+                         kernels=(*real.kernels[:2], 0, *real.kernels[3:]))
+    assert harness._check(["T-ksets"], [real, fake])["T-ksets"] == (2, 0, [
+        harness.Counterexample(fake.context, (w,))
+        for w in ("sides-differ", "differs-from-pair-kernel", "unit-missing")])
 
 
 def test_map_pass_classifies_each_hom_once_and_no_other_map(monkeypatch):

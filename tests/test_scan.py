@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -52,7 +53,28 @@ def test_exact_size_two_models():
 def test_scan_handles_size_four():
     # 2^3 * 4^12 = 134217728 candidates; golden: 167 models, equal in
     # order to the former brute-force odometer's output
-    assert len(scan.valid_tables(4)) == 167
+    tables = scan.valid_tables(4)
+    assert len(tables) == 167
+    assert tables[0] == ((0, 1, 2, 3, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 2, 0), 0b0001)
+    assert tables[-1] == ((0, 1, 2, 3, 3, 3, 3, 3, 1, 1, 2, 3, 1, 1, 1, 3), 0b1101)
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == \
+        "078c35977f537f8e7359727399c4f3ab2f57fa9052af5baf388d9d7ca1ff8324"
+
+
+@pytest.mark.parametrize("n,calls", [(1, 1), (2, 10), (3, 253), (4, 27840)])
+def test_scan_prunes_as_soon_as_an_assigned_instance_fails(monkeypatch, n, calls):
+    # one call per node of the search tree: a weaker check visits more
+    count = 0
+    fails = scan._fails
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return fails(*args)
+
+    monkeypatch.setattr(scan, "_fails", counted)
+    scan.valid_tables(n)
+    assert count == calls
 
 
 def test_scan_results_have_identity_unit_row_and_unit_in_cone():
