@@ -95,21 +95,25 @@ def _fmt_set(subset) -> str:
     return "{" + ",".join(subset.member_labels()) + "}"
 
 
+def _fixture_arg(path: str, kind: str, fixtures: dict):
+    """The bundled fixture a `fixture:<name>` argument names, or None for a
+    file path."""
+    if not path.startswith("fixture:"):
+        return None
+    name = path[len("fixture:"):]
+    if name not in fixtures:
+        raise ParseError(f"unknown {kind} fixture {name!r}", path)
+    return fixtures[name]
+
+
 def _load_algebra_arg(path: str) -> RawStructure:
-    if path.startswith("fixture:"):
-        name = path[len("fixture:"):]
-        if name not in fixture_lib.ALGEBRAS:
-            raise ParseError(f"unknown algebra fixture {name!r}", path)
-        return fixture_lib.ALGEBRAS[name]
-    return load_algebra(path)
+    return _fixture_arg(path, "algebra", fixture_lib.ALGEBRAS) or load_algebra(path)
 
 
 def _load_map_arg(path: str, src: str | None, dst: str | None) -> Mapping:
-    if path.startswith("fixture:"):
-        name = path[len("fixture:"):]
-        if name not in fixture_lib.MAPS:
-            raise ParseError(f"unknown map fixture {name!r}", path)
-        return fixture_lib.MAPS[name]
+    fixture = _fixture_arg(path, "map", fixture_lib.MAPS)
+    if fixture is not None:
+        return fixture
     if src is None or dst is None:
         raise ParseError("map files need explicit <src> and <dst> algebra files", path)
     return load_map(path, _load_algebra_arg(src), _load_algebra_arg(dst))
@@ -117,15 +121,9 @@ def _load_map_arg(path: str, src: str | None, dst: str | None) -> Mapping:
 
 def _emit_findings(out: _Out, subject_obj, topic: str) -> None:
     """Print the audit finding on `topic` when the object is a bundled fixture."""
-    if isinstance(subject_obj, RawStructure):
-        name = subject_obj.name
-        if fixture_lib.ALGEBRAS.get(name) != subject_obj:
-            return
-    elif isinstance(subject_obj, Mapping):
-        name = subject_obj.name
-        if fixture_lib.MAPS.get(name) != subject_obj:
-            return
-    else:
+    bundled = fixture_lib.ALGEBRAS if isinstance(subject_obj, RawStructure) else fixture_lib.MAPS
+    name = subject_obj.name
+    if bundled.get(name) != subject_obj:
         return
     for f in fixture_lib.findings_for(name, topic):
         out.finding(f)
@@ -253,6 +251,11 @@ def _cmd_enumerate(args, out: _Out) -> int:
     return 0
 
 
+def _scope(args) -> dict:
+    """The sweep scope of `verify` and `search`: the fixtures, or sizes 1 to --size."""
+    return {"fixtures": True} if args.fixtures else {"sizes": tuple(range(1, args.size + 1))}
+
+
 def _cmd_verify(args, out: _Out) -> int:
     if args.claim == "all":
         claims = harness.CLAIM_IDS
@@ -260,8 +263,7 @@ def _cmd_verify(args, out: _Out) -> int:
         claims = (args.claim,)
     else:
         raise ParseError(f"unknown claim id {args.claim!r}; see 'verify all'", "verify")
-    scope = {"fixtures": True} if args.fixtures else {"sizes": tuple(range(1, args.size + 1))}
-    reports = harness.verify_all(claims, jobs=args.jobs, **scope)
+    reports = harness.verify_all(claims, jobs=args.jobs, **_scope(args))
     ok = True
     for r in reports:
         verdict = "VERIFIED" if r.verified else "FAILED"
@@ -286,9 +288,8 @@ def _cmd_verify(args, out: _Out) -> int:
 
 
 def _cmd_search(args, out: _Out) -> int:
-    scope = {"fixtures": True} if args.fixtures else {"sizes": tuple(range(1, args.size + 1))}
     try:
-        found = harness.find_counterexample(args.query, **scope)
+        found = harness.find_counterexample(args.query, **_scope(args))
     except ValueError as exc:
         raise ParseError(str(exc), "search") from exc
     if found is None:

@@ -41,31 +41,26 @@ other map is one skip for it, counted by arithmetic: the number of maps
 less the number of O-homs.  With `jobs=J` the sweep is cut into J fixed
 parts, each run by a worker process that builds the pool once: part k
 takes the contiguous slice k of the algebras, of the O-homs and of the
-pairs' first factors; part 0 also runs the map pass whole (it walks maps
-only under a failing key) and counts the skipped maps; and the parent
-adds each claim's partial reports up in k order, so counterexamples stay
-in pass order.
+pairs' first factors; part 0 also runs the map pass whole and counts the
+skipped maps; and the parent adds each claim's partial reports up in k
+order, so counterexamples stay in pass order.
 
-A claim whose verdict reads only a small part of its instance carries a
-key: a hashable value fixing whether the conclusion holds.  The three
-kernel product claims are keyed by the two source positions and the
-three kernel masks (256 keys for the 5,625 pairs over the size-3
-isomorphism classes), `T-pairmap-ohom` by the pair map's verdict, and
-`P-kernel-alt` by the target and the map's image set (49 keys for the
-1,223 maps over the size 1-3 isomorphism classes; `_check_maps` decides
-it once per key).  So every pair claim is keyed and takes every pair,
-and the pair pass keeps one memo, each tuple of their keys at which all
-of them held: the conclusions run once per such tuple (256 times for
-the 5,625 pairs above) and on every pair of a failing tuple, to name its
-counterexamples, and every other pair is checked by one set lookup.  The
-tuples live for one pass, so one `--jobs` part.
+The map pass and the pair pass memoize on a signature, the part of an
+instance that fixes the verdict of every claim of the scope.  A map's is
+its target and image set: `_check_maps` decides each MAP claim once per
+signature (49 times for the 1,223 maps over the size 1-3 isomorphism
+classes) and walks maps only to name those of a failing one.  A pair's
+is `_OhomPair.signature`, (ohom, kernels): `_check` runs the conclusions
+on the first pair of each signature (256 times for the 5,625 pairs over
+the size-3 isomorphism classes) and on every pair of a signature at
+which one failed, and checks every other pair by one set lookup.  A memo
+lives for one pass, so one `--jobs` part.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cache, cached_property
-from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from . import fixtures as fixture_lib
@@ -327,14 +322,9 @@ class _AlgebraFacts(NamedTuple):
 
 
 class _Map(NamedTuple):
-    """A map of the MAP pass, with its target's pool position."""
+    """A map of the MAP pass."""
 
     m: Mapping
-    j: int
-
-    @property
-    def image(self) -> int:
-        return image_mask(self.m, (1 << self.m.source.n) - 1)
 
     @property
     def context(self) -> tuple[str, ...]:
@@ -376,14 +366,16 @@ class _OhomPair(NamedTuple):
     s2, ker f1, ker f2, ker(f1 x f2)): the pool positions of the two
     sources and the three kernels as masks.  `decide_laws` gives `ohom`
     and the pair kernel on `table` itself, so `T-product-kernel` is never
-    decided from k1 x k2.  `ohom` is the key of `T-pairmap-ohom`, whose
-    verdict it is, and `kernels` the key of the three kernel claims, which
-    read nothing else: the source product is fixed by (s1, s2), the three
-    kernel subsets by their masks over it and its factors, and
-    `k_upper_sets` reads ker f1
-    and ker f2 again off the maps' tables, equal to these masks because k1
-    and k2 are the kernels of f1 and f2.  The pair map and its kernel as
-    objects, `pm` and `k`, are built only when a claim reads them.
+    decided from k1 x k2.  The pair map and its kernel as objects, `pm`
+    and `k`, are built only when a claim reads them.
+
+    `signature`, (ohom, kernels), fixes the verdict of every PAIR claim,
+    and the pair pass memoizes on it: `ohom` is the verdict of
+    `T-pairmap-ohom`, and the kernel claims read nothing else, since the
+    source product is fixed by (s1, s2), the three kernel subsets by their
+    masks over it and its factors, and `k_upper_sets` reads ker f1 and
+    ker f2 again off the maps' tables, equal to these masks because k1 and
+    k2 are the kernels of f1 and f2.
     """
 
     f1: Mapping
@@ -395,6 +387,10 @@ class _OhomPair(NamedTuple):
     table: bytes
     ohom: bool
     kernels: tuple
+
+    @property
+    def signature(self) -> tuple:
+        return self.ohom, self.kernels
 
     @property
     def pm(self) -> Mapping:
@@ -631,8 +627,6 @@ def _ksets(p: _OhomPair):
 
 # --- the claims ------------------------------------------------------------------
 
-_ohom, _kernels = attrgetter("ohom"), attrgetter("kernels")
-
 ALGEBRA, MAP, OHOM, PAIR = "algebra", "map", "ohom", "pair"
 
 
@@ -651,24 +645,16 @@ class Claim(NamedTuple):
     context, witness) per violation, each naming the first witness of the
     check that found it.
 
-    `key`, given only without `subsets`, maps an instance to a hashable
-    value that fixes whether the conclusion holds: instances with equal
-    keys all pass or all fail.  The PAIR claims are all keyed and take
-    every pair, so a pass over any of them calls the conclusions once per
-    tuple of keys that held, and on every instance of a failing tuple, to
-    name that instance's own counterexamples; a pair whose tuple of keys
-    held before is checked by one set lookup (see `_check`).
-
-    A MAP claim is checked on every map (its hypothesis is `_always`) and
-    is keyed by the target's pool position and the map's image set, so that
-    `_check_maps` decides it once per key without walking the maps.
+    The MAP and PAIR passes decide a claim once per signature of its
+    instance (see `_check_maps` and `_OhomPair`), so every claim of those
+    scopes takes every instance (its hypothesis is `_always`) and has a
+    verdict its scope's signature fixes.
     """
 
     scope: str
     hypothesis: Callable
     conclusion: Callable
     subsets: Callable | None = None
-    key: Callable | None = None
 
 
 FILTER, ORDERED_FILTER = SubstructureKind.FILTER, SubstructureKind.ORDERED_FILTER
@@ -681,11 +667,7 @@ CLAIMS: dict[str, Claim] = {
         ALGEBRA, _always, _ordfilter_is_filter,
         lambda f: (f.algebra.n, f.atlas.ordered_filter & f.atlas.cone)),
     "P-monotone": Claim(OHOM, _always, _monotone),
-    # `kernel` and `kernel_alt` are the preimages, under the map, of target
-    # sets fixed by the target and the image set I: the cone meeting I, and
-    # {v in I : some u in I has e <= u and e <= u->v}.  The two are equal
-    # for every map with image I or for none.
-    "P-kernel-alt": Claim(MAP, _always, _kernel_alt, key=lambda f: (f.j, f.image)),
+    "P-kernel-alt": Claim(MAP, _always, _kernel_alt),
     "P-closed-kernel": Claim(OHOM, _kernel_is_closed, _closed_kernel),
     "T-kernel-closed-converse": Claim(OHOM, lambda f: f.unit and f.closed_kernel.holds,
                                       _kernel_is(SUBALGEBRA, ORDERED_SUBALGEBRA)),
@@ -707,13 +689,10 @@ CLAIMS: dict[str, Claim] = {
     "T-filter-bijection": Claim(OHOM, _surjective_unit, _bijection(FILTER)),
     "T-ordfilter-bijection": Claim(OHOM, _surjective_unit,
                                    _bijection(ORDERED_FILTER, in_cone=True)),
-    # Over every pair; the pair map's own law is keyed by its verdict,
-    # `_OhomPair.ohom`, and the kernel claims by `_OhomPair.kernels`.
-    "T-pairmap-ohom": Claim(PAIR, _always, _pairmap_ohom, key=_ohom),
-    "T-product-kernel": Claim(PAIR, _always, _product_kernel, key=_kernels),
-    "T-product-kernel-projection": Claim(PAIR, _always, _product_kernel_projection,
-                                         key=_kernels),
-    "T-ksets": Claim(PAIR, _always, _ksets, key=_kernels),
+    "T-pairmap-ohom": Claim(PAIR, _always, _pairmap_ohom),
+    "T-product-kernel": Claim(PAIR, _always, _product_kernel),
+    "T-product-kernel-projection": Claim(PAIR, _always, _product_kernel_projection),
+    "T-ksets": Claim(PAIR, _always, _ksets),
 }
 
 CLAIM_IDS = tuple(CLAIMS)
@@ -723,29 +702,26 @@ def _check(claims, instances, skipped=0):
     """Claims of one scope in one pass over its instances.
 
     An instance failing a claim's hypothesis is one skip, as is each of
-    `skipped` instances the pass never sees.  When every claim is keyed
-    and takes every instance (the pair pass), the pass keeps each tuple of
-    their keys at which every claim held, and counts a later instance with
-    that tuple as checked for every claim at the cost of one set lookup;
-    any other instance runs every conclusion, so each failing instance is
-    named.  The tuples that held are kept for this pass alone, so for one
-    `--jobs` part.  Returns claim id -> (checked, skipped,
-    counterexamples), the counterexamples in instance order.
+    `skipped` instances the pass never sees.  Over PAIR claims the pass
+    keeps each pair signature (`_OhomPair.signature`) at which every claim
+    held, and counts a later pair with that signature as checked for every
+    claim at the cost of one set lookup; any other instance runs every
+    conclusion, so each failing instance is named.  Returns claim id ->
+    (checked, skipped, counterexamples), the counterexamples in instance
+    order.
     """
     tallies = {c: [0, skipped, []] for c in claims}
     specs = [(*CLAIMS[c], tallies[c]) for c in claims]
-    signed = all(CLAIMS[c].hypothesis is _always and CLAIMS[c].key is not None
-                 for c in claims)
-    keys = tuple(dict.fromkeys(CLAIMS[c].key for c in claims))
-    held, repeats = set(), 0  # the key tuples at which every claim held
+    memo = {CLAIMS[c].scope for c in claims} == {PAIR}
+    held, repeats = set(), 0  # the pair signatures at which every claim held
     for inst in instances:
-        if signed:
-            signature = tuple([key(inst) for key in keys])
+        if memo:
+            signature = inst.signature
             if signature in held:
                 repeats += 1
                 continue
         every_held = True
-        for _, hypothesis, conclusion, subsets, _, tally in specs:
+        for _, hypothesis, conclusion, subsets, tally in specs:
             if not hypothesis(inst):
                 tally[1] += 1
                 continue
@@ -762,7 +738,7 @@ def _check(claims, instances, skipped=0):
             for extra, witness in found:
                 every_held = False
                 tally[2].append(Counterexample(inst.context + extra, witness))
-        if signed and every_held:
+        if memo and every_held:
             held.add(signature)
     for tally in tallies.values():
         tally[0] += repeats
@@ -774,20 +750,25 @@ def _check_maps(claims, pool):
     a loop over the maps.
 
     Every map of a block between pool algebras (see `_Pool.map_blocks`)
-    counts as checked, every other map as skipped.  Each claim is decided
-    once per key (target, image set I), on a representative map from the
-    target to itself.  A block is walked, in map order, only when a key of
-    its target fails, and then only to name each map whose key failed.
+    counts as checked, every other map as skipped.  A map's signature is
+    its target and image set I, which fixes the verdict of `P-kernel-alt`:
+    `kernel` and `kernel_alt` are the preimages, under the map, of target
+    sets fixed by the two, the cone meeting I and {v in I : some u in I has
+    e <= u and e <= u->v}, so they are equal for every map with image I or
+    for none.  Each claim is decided once per signature, on the
+    representative map from the target to itself with image I.  A block
+    is walked, in map order, only when a signature of its target fails,
+    and then only to name each map whose signature failed.
     """
     tallies = {c: [0, 0, []] for c in claims}
-    failing = {}  # target position -> the (claim, key) pairs failing there
+    failing = {}  # target position -> the (claim, image set) pairs failing there
 
     def failing_at(j: int) -> set:
         if j not in failing:
             target = pool.algebras[j].structure
-            reps = [_Map(_representative(target, image), j)
+            reps = [(image, _Map(_representative(target, image)))
                     for image in range(1, 1 << target.n)]
-            failing[j] = {(c, CLAIMS[c].key(rep)) for c in claims for rep in reps
+            failing[j] = {(c, image) for c in claims for image, rep in reps
                           if CLAIMS[c].conclusion(rep)}
         return failing[j]
 
@@ -801,9 +782,9 @@ def _check_maps(claims, pool):
         if not failing_at(j):
             continue
         for m in maps:
-            inst = _Map(m, j)
+            inst, image = _Map(m), image_mask(m, (1 << m.source.n) - 1)
             for claim in claims:
-                if (claim, CLAIMS[claim].key(inst)) in failing[j]:
+                if (claim, image) in failing[j]:
                     tallies[claim][2].extend(
                         Counterexample(inst.context + extra, witness)
                         for extra, witness in CLAIMS[claim].conclusion(inst))
@@ -842,6 +823,8 @@ def verify_all(claims=CLAIM_IDS, *, sizes=None, fixtures=False,
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     claims = tuple(_known(c) for c in claims)
+    if not claims:
+        return []
     args = (claims, (sizes, fixtures, up_to_iso))
     parts = [_run_part(*args, 0, 1)] if jobs == 1 else _run_in_workers(args, jobs)
     return [SweepReport(c, sum(r.instances_checked for r in reports),
@@ -880,10 +863,7 @@ def _run_part(claims, scope, k, parts):
     """Part k of `parts`: each claim's report over slice k of the algebras,
     the O-homs and the O-hom pairs' first factors, and in part 0 over every
     map, in claim order.  This is the one place passes run: one per scope,
-    in the order the scopes first occur among `claims`, over one pool,
-    built only if there is a claim."""
-    if not claims:
-        return []
+    in the order the scopes first occur among `claims`, over one pool."""
     sizes, fixtures, up_to_iso = scope
     pool = _pool_for(sizes, fixtures, up_to_iso=up_to_iso)
     results = {}

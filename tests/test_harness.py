@@ -290,20 +290,34 @@ def test_jobs_below_one_is_rejected(monkeypatch, jobs):
         verify_all(("P-identities",), sizes=(1,), jobs=jobs)
 
 
-# --- keyed claims: a conclusion runs once per distinct key --------------------
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_no_claims_start_no_worker(monkeypatch, jobs):
+    def no_workers(*args, **kwargs):
+        raise AssertionError("workers were started")
+
+    monkeypatch.setattr(harness, "_run_in_workers", no_workers)
+    assert verify_all((), jobs=jobs) == []
+
+
+# --- signatures: the map and pair passes decide a claim once per signature ----
+
+def _claims_of(scope):
+    return tuple(c for c, spec in harness.CLAIMS.items() if spec.scope == scope)
+
 
 _KERNEL_CLAIMS = ("T-product-kernel", "T-product-kernel-projection", "T-ksets")
-_PAIR_CLAIMS = ("T-pairmap-ohom", *_KERNEL_CLAIMS)
+_PAIR_CLAIMS = _claims_of(harness.PAIR)
+_MAP_CLAIMS = _claims_of(harness.MAP)
 
 
-def test_keyed_claims_are_the_product_claims_and_kernel_alt():
-    assert [c for c, spec in harness.CLAIMS.items() if spec.key is not None] == \
-        ["P-kernel-alt", *_PAIR_CLAIMS]
-    # so a pass over the pair claims keeps the key tuples at which all held
-    assert all(harness.CLAIMS[c].hypothesis is harness._always for c in _PAIR_CLAIMS)
+def test_map_and_pair_claims_take_every_instance():
+    assert set(_KERNEL_CLAIMS) < set(_PAIR_CLAIMS) and _MAP_CLAIMS
+    # the memos count an instance whose signature held before as checked
+    for claim in _MAP_CLAIMS + _PAIR_CLAIMS:
+        assert harness.CLAIMS[claim].hypothesis is harness._always, claim
 
 
-def _unkeyed(claim, instances):
+def _unmemoized(claim, instances):
     """What `_check` must report for an always-hypothesis claim: its
     conclusion called on every instance."""
     conclusion = harness.CLAIMS[claim].conclusion
@@ -337,36 +351,43 @@ def _pair_facts(p):
 def test_kernel_claim_keys_fix_what_the_conclusions_read(scope):
     pool = harness._pool_for(**scope)
     pairs = list(harness._ohom_pairs(pool, (0, 1)))
+    # what the kernel claims read is fixed by `kernels`, part of the pair signature
     groups = _grouped(pairs, lambda p: p.kernels, _pair_facts)
-    assert len(groups) < len(pairs)  # the memo has work to save
+    assert len(groups) < len(pairs)
     assert all(len(facts) == 1 for facts in groups.values())
-    for claim in _KERNEL_CLAIMS:
-        assert harness._check([claim], pairs)[claim] == _unkeyed(claim, pairs)
 
 
 def _every_map(pool):
-    return [harness._Map(m, j) for _, j, _, maps in pool.map_blocks() for m in maps]
+    return [harness._Map(m) for *_, maps in pool.map_blocks() for m in maps]
 
 
-def test_kernel_alt_key_fixes_what_the_conclusion_reads():
-    # kernel and kernel_alt are the preimages of target sets fixed by the
-    # key (target, image set), so the key fixes the verdict
+def _image(f):
+    return image_mask(f.m, (1 << f.m.source.n) - 1)
+
+
+def test_map_signature_fixes_every_map_claims_verdict():
     pool = harness._pool_for(sizes=(1, 2, 3), up_to_iso=True)
     maps = _every_map(pool)
     assert len(maps) == 1223
-    groups = _grouped(maps, harness.CLAIMS["P-kernel-alt"].key,
-                      lambda f: (f.m.target, image_mask(f.m, kernel(f.m).mask),
+    for claim in _MAP_CLAIMS:
+        groups = _grouped(maps, lambda f: (f.m.target, _image(f)),
+                          lambda f: not harness.CLAIMS[claim].conclusion(f))
+        assert len(groups) == 49  # every non-empty subset of each of the 9 targets
+        assert all(len(verdicts) == 1 for verdicts in groups.values()), claim
+        assert harness._check_maps([claim], pool)[claim] == _unmemoized(claim, maps)
+    # kernel and kernel_alt are the preimages of target sets fixed by
+    # (target, image set), so their images are fixed by it too
+    groups = _grouped(maps, lambda f: (f.m.target, _image(f)),
+                      lambda f: (image_mask(f.m, kernel(f.m).mask),
                                  image_mask(f.m, harness.kernel_alt(f.m).mask)))
-    assert len(groups) == 49  # every non-empty subset of each of the 9 targets
     assert all(len(facts) == 1 for facts in groups.values())
-    assert harness._check_maps(["P-kernel-alt"], pool)["P-kernel-alt"] == \
-        _unkeyed("P-kernel-alt", maps)
 
 
 def _fails_on_unit_and_one_more(f):
     """Fails on the maps whose image is the unit and one other element, a
-    verdict the key (target, image set) fixes; the witness is the table."""
-    return [((), f.m.table)] if f.image & 1 and f.image.bit_count() == 2 else ()
+    verdict (target, image set) fixes; the witness is the table."""
+    image = _image(f)
+    return [((), f.m.table)] if image & 1 and image.bit_count() == 2 else ()
 
 
 @pytest.mark.parametrize("parts", [1, 2, 3])
@@ -378,7 +399,7 @@ def test_map_pass_names_the_maps_of_failing_keys_in_map_order(monkeypatch, parts
     # part 0 runs the map pass whole
     found = [(r.instances_checked, r.hypothesis_skipped, list(r.counterexamples))
              for r in reports]
-    assert found[0] == _unkeyed("P-kernel-alt", maps)
+    assert found[0] == _unmemoized("P-kernel-alt", maps)
     assert found[1:] == [(0, 0, [])] * (parts - 1)
     assert 0 < len(found[0][2]) < len(maps)
 
@@ -426,7 +447,7 @@ def test_pairs_differing_only_in_the_pair_kernel_get_their_own_verdicts():
         assert not conclusion(real) and conclusion(fake)
         for instances in ([real, fake], [fake, real], [real, fake, real, fake]):
             assert harness._check([claim], instances)[claim] == \
-                _unkeyed(claim, instances)
+                _unmemoized(claim, instances)
 
 
 def test_pairmap_ohom_names_the_classify_witness_of_a_fabricated_pair():
@@ -449,40 +470,42 @@ def _real_pairs(scope):
 
 @pytest.mark.parametrize("scope, count", [({"sizes": (1, 2)}, 121),
                                           ({"sizes": (3,), "up_to_iso": True}, 5625)])
-def test_pairmap_ohom_key_fixes_its_verdict(scope, count):
+def test_pair_signature_fixes_every_pair_claims_verdict(scope, count):
     pairs = _real_pairs(scope)
     assert len(pairs) == count
-    # every real pair is an O-hom; a fabricated non-hom pair gives the other key
+    # every real pair is an O-hom; a fabricated non-hom pair has another signature
     pairs.append(_unit_elsewhere(next(p for p in pairs if p.target.combined.n > 1)))
-    groups = _grouped(pairs, harness.CLAIMS["T-pairmap-ohom"].key,
-                      lambda p: not harness._pairmap_ohom(p))
-    assert groups == {True: {True}, False: {False}}
-
-
-def _signature(p):
-    return tuple(harness.CLAIMS[c].key(p) for c in _PAIR_CLAIMS)
+    # `ohom` is the verdict of the pair map's own law
+    assert _grouped(pairs, lambda p: p.ohom, lambda p: not harness._pairmap_ohom(p)) == \
+        {True: {True}, False: {False}}
+    for claim in _PAIR_CLAIMS:
+        groups = _grouped(pairs, lambda p: p.signature,
+                          lambda p: not harness.CLAIMS[claim].conclusion(p))
+        assert len(groups) < len(pairs)  # the memo has work to save
+        assert all(len(verdicts) == 1 for verdicts in groups.values()), claim
+        assert harness._check([claim], pairs)[claim] == _unmemoized(claim, pairs)
 
 
 def _check_pair_claims(instances):
-    """`_check` over the four pair claims at once, which keeps the key
-    tuples that held, against each claim's conclusion on every instance."""
+    """`_check` over the pair claims at once, which keeps the signatures
+    that held, against each claim's conclusion on every instance."""
     assert harness._check(_PAIR_CLAIMS, instances) == \
-        {c: _unkeyed(c, instances) for c in _PAIR_CLAIMS}
+        {c: _unmemoized(c, instances) for c in _PAIR_CLAIMS}
 
 
 @pytest.mark.parametrize("scope", [{"sizes": (1, 2)}, {"sizes": (3,), "up_to_iso": True}])
 def test_key_tuples_that_held_hide_no_later_failing_pair(scope):
     pairs = _real_pairs(scope)
     _check_pair_claims(pairs)
-    # a real pair with a later twin of the same key tuple, and fakes sharing
+    # a real pair with a later twin of the same signature, and fakes sharing
     # its factors: an O-hom differing in the pair kernel only, and two that
     # are no hom, one of them with the real pair's kernels
     real, twin, no_hom = next((p, q, fake) for i, p in enumerate(pairs)
                               if len(p.k) < p.k.universe.n
                               for fake in [_same_kernel_no_hom(p)] if fake is not None
-                              for q in pairs[i + 1:] if _signature(q) == _signature(p))
+                              for q in pairs[i + 1:] if q.signature == p.signature)
     for fake in (_onto_unit(real), _unit_elsewhere(real), no_hom):
-        assert fake.kernels[:4] == real.kernels[:4] and _signature(fake) != _signature(real)
+        assert fake.kernels[:4] == real.kernels[:4] and fake.signature != real.signature
         assert any(harness.CLAIMS[c].conclusion(fake) for c in _PAIR_CLAIMS)
         for instances in ([fake, real, twin], [real, twin, fake], [real, fake, twin],
                           [real, fake, twin, fake], [*pairs, fake, real, fake],
@@ -504,14 +527,14 @@ def test_pair_pass_decides_every_pair_and_names_only_failing_pairs(monkeypatch):
     monkeypatch.setattr(harness, "decide_laws", counted_laws)
     _patch_conclusion(monkeypatch, "T-pairmap-ohom", counted_pairmap_ohom)
     reports = verify_all(_PAIR_CLAIMS, sizes=(3,), up_to_iso=True)
-    # each pair's own table decided, the law named once per key tuple
+    # each pair's own table decided, the law named once per signature
     assert len(decided) == 5625
-    assert [r.instances_checked for r in reports] == [5625] * 4
+    assert [r.instances_checked for r in reports] == [5625] * len(_PAIR_CLAIMS)
     assert len(named) == 256 and all(p.ohom for p in named)
     pairs = _real_pairs({"sizes": (3,), "up_to_iso": True})
-    firsts = {}  # key tuple -> its first pair
+    firsts = {}  # signature -> its first pair
     for p in pairs:
-        firsts.setdefault(_signature(p), p)
+        firsts.setdefault(p.signature, p)
     assert list(firsts.values()) == named
     fake = _unit_elsewhere(next(p for p in pairs if p.target.combined.n > 1))
     named.clear()
