@@ -23,7 +23,6 @@ import sys
 from . import fixtures as fixture_lib
 from . import harness
 from .core import (
-    DEFAULT_WITNESS_CAP,
     BudgetError,
     CheckReport,
     PreconditionError,
@@ -43,6 +42,10 @@ from .substructures import CHECKS as substructure_checks
 from .substructures import SubstructureKind, enumerate_substructures
 
 _KIND_CHOICES = {k.value: k for k in SubstructureKind}
+
+# Witnesses listed per law unless --witness-cap or --exhaustive says otherwise;
+# the library lists every witness unless its caller passes a cap.
+DEFAULT_WITNESS_CAP = 32
 
 
 class _Out:
@@ -435,11 +438,6 @@ def main(argv=None) -> int:
     try:
         _check_ranges(args)
         return args.func(args, out)
-    except PreconditionError as exc:
-        print(f"precondition error: {exc}", file=sys.stderr)
-        if exc.report is not None:
-            out.law(exc.report, None)
-        return 2
     except (ParseError, StructureError, UniverseMismatchError, BudgetError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,8 +13,9 @@ The laws are data: AXIOMS, IDENTITIES and ORDER_LAWS map each law id to
 its arity and a predicate that is true where the law is violated, and one
 generator runs a law over all instantiations in itertools.product order.
 Every check returns a CheckReport whose witnesses are the violating
-instantiations in that (lexicographic) order, exhaustive up to a
-caller-set cap; `CheckReport.collect` is the one place a cap is applied.
+instantiations in that (lexicographic) order, all of them unless the
+caller passes a cap; `CheckReport.collect` is the one place a cap is
+applied, and only the checks the CLI prints take one.
 
 Plain records are NamedTuples.  The three types that validate their
 input (RawStructure, Subset and morphisms.Mapping) are `_Value` classes:
@@ -27,8 +28,6 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, NamedTuple
-
-DEFAULT_WITNESS_CAP = 32
 
 
 class StructureError(ValueError):
@@ -75,7 +74,7 @@ class CheckReport(NamedTuple):
 
     @classmethod
     def collect(cls, law: str, violations: Iterable[tuple],
-                cap: int | None = DEFAULT_WITNESS_CAP) -> "CheckReport":
+                cap: int | None = None) -> "CheckReport":
         """The report of a law from its violations, listing at most `cap`
         (every one for None).
 
@@ -353,16 +352,14 @@ def _violations(s: RawStructure, law: Law) -> Iterator[tuple[int, ...]]:
     return itertools.compress(insts(), itertools.starmap(_bound(s, law), insts()))
 
 
-def _law_reports(s: RawStructure, laws: dict[str, Law],
-                witness_cap: int | None = DEFAULT_WITNESS_CAP) -> list[CheckReport]:
-    return [CheckReport.collect(name, _violations(s, law), witness_cap)
-            for name, law in laws.items()]
+def _law_reports(s: RawStructure, laws: dict[str, Law]) -> list[CheckReport]:
+    return [CheckReport.collect(name, _violations(s, law)) for name, law in laws.items()]
 
 
 # --- axiom evaluation ------------------------------------------------------
 
 def check_axiom(s: RawStructure, axiom: str, *,
-                witness_cap: int | None = DEFAULT_WITNESS_CAP) -> CheckReport:
+                witness_cap: int | None = None) -> CheckReport:
     """Exhaustively check one axiom; witnesses are the violating tuples."""
     if axiom not in AXIOMS:
         raise ValueError(f"unknown axiom id {axiom!r}")
@@ -370,15 +367,14 @@ def check_axiom(s: RawStructure, axiom: str, *,
 
 
 def axiom_reports(s: RawStructure, *,
-                  witness_cap: int | None = DEFAULT_WITNESS_CAP) -> list[CheckReport]:
+                  witness_cap: int | None = None) -> list[CheckReport]:
     return [check_axiom(s, a, witness_cap=witness_cap) for a in AXIOM_IDS]
 
 
-def validate(s: RawStructure, *,
-             witness_cap: int | None = DEFAULT_WITNESS_CAP) -> "ValidatedAlgebra | CheckReport":
+def validate(s: RawStructure) -> "ValidatedAlgebra | CheckReport":
     """Return a ValidatedAlgebra, or the first failing axiom's report."""
     for axiom in AXIOM_IDS:
-        report = check_axiom(s, axiom, witness_cap=witness_cap)
+        report = check_axiom(s, axiom)
         if not report.holds:
             return report
     return certified(s)
@@ -398,19 +394,16 @@ def certified(s: RawStructure) -> ValidatedAlgebra:
 
 # --- derived identities ----------------------------------------------------
 
-def derived_identity_reports(a: ValidatedAlgebra, *,
-                             witness_cap: int | None = DEFAULT_WITNESS_CAP) -> list[CheckReport]:
-    return _law_reports(a.structure, IDENTITIES, witness_cap)
+def derived_identity_reports(a: ValidatedAlgebra) -> list[CheckReport]:
+    return _law_reports(a.structure, IDENTITIES)
 
 
-def check_derived_identities(a: ValidatedAlgebra, *,
-                             witness_cap: int | None = DEFAULT_WITNESS_CAP) -> CheckReport:
+def check_derived_identities(a: ValidatedAlgebra) -> CheckReport:
     """All six derived laws in one report; a failure means a validator bug.
 
     Witness tuples are prefixed with the violated identity's id.
     """
-    return CheckReport.merged("derived-identities",
-                              derived_identity_reports(a, witness_cap=witness_cap))
+    return CheckReport.merged("derived-identities", derived_identity_reports(a))
 
 
 # --- the cone view of the relation -----------------------------------------
@@ -452,7 +445,6 @@ def reflexive_transitive_closure(s: RawStructure) -> RawStructure:
     return RawStructure(s.name, s.labels, s.op, s.unit, m)
 
 
-def relation_reports(s: RawStructure, *,
-                     witness_cap: int | None = DEFAULT_WITNESS_CAP) -> list[CheckReport]:
+def relation_reports(s: RawStructure) -> list[CheckReport]:
     """Reflexivity, antisymmetry, transitivity of the stored relation."""
-    return _law_reports(s, ORDER_LAWS, witness_cap)
+    return _law_reports(s, ORDER_LAWS)

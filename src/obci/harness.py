@@ -194,8 +194,7 @@ def enumerate_obci_naive(n: int):
         op = tuple(tuple(flat_op[r * n:(r + 1) * n]) for r in range(n))
         for flat_rel in itertools.product((False, True), repeat=n * n):
             order = tuple(tuple(flat_rel[r * n:(r + 1) * n]) for r in range(n))
-            result = validate(RawStructure(f"naive{n}-{i}", labels, op, 0, order),
-                              witness_cap=0)
+            result = validate(RawStructure(f"naive{n}-{i}", labels, op, 0, order))
             if isinstance(result, ValidatedAlgebra):
                 yield result
                 i += 1
@@ -307,7 +306,7 @@ def _witness(kind, atlas: Atlas, universe: RawStructure, mask: int):
     otherwise the first witness of its check."""
     if atlas.bits(kind) >> mask & 1:
         return None
-    return CHECKS[kind](universe, Subset(universe, mask), witness_cap=1).witnesses[0]
+    return CHECKS[kind](universe, Subset(universe, mask)).witnesses[0]
 
 
 # --- instances ---------------------------------------------------------------
@@ -346,12 +345,12 @@ class _MapFacts:
 
     @cached_property
     def reflects(self) -> bool:
-        return check_reflection_condition(self.m, witness_cap=1).holds
+        return check_reflection_condition(self.m).holds
 
     @cached_property
     def closed_kernel(self) -> CheckReport:
         """The closed-kernel condition, with its first witness."""
-        return _closed_kernel_condition(self.m, self.ker, 1)
+        return _closed_kernel_condition(self.m, self.ker)
 
     @property
     def context(self) -> tuple[str, ...]:
@@ -429,7 +428,7 @@ def _ohom_pairs(pool: _Pool, part):
     @cache
     def product_of(i1, i2):
         left, right = pool.algebras[i1].structure, pool.algebras[i2].structure
-        product, report = direct_product(left, right, witness_cap=0)
+        product, report = direct_product(left, right)
         if not report.holds:
             raise RuntimeError(f"the product {product.combined.name} of two "
                                f"algebras is not an algebra")
@@ -472,7 +471,7 @@ def _kernel_is_closed(f: _MapFacts):
 # --- conclusions: instance -> [(extra context, witness)] ------------------------
 
 def _identities(f: _AlgebraFacts):
-    r = check_derived_identities(f.algebra, witness_cap=1)
+    r = check_derived_identities(f.algebra)
     return [((), r.witnesses[0])] if not r.holds else ()
 
 
@@ -483,7 +482,7 @@ def _ordfilter_is_filter(f: _AlgebraFacts, mask):
 
 
 def _monotone(f: _MapFacts):
-    r = _monotonicity(f.m, 1)
+    r = _monotonicity(f.m)
     return [((), r.witnesses[0])] if not r.holds else ()
 
 
@@ -591,7 +590,7 @@ def _bijection(kind, *, in_cone=False):
 def _pairmap_ohom(p: _OhomPair):
     if p.ohom:
         return ()
-    cls = classify(p.pm, witness_cap=1)
+    cls = classify(p.pm)
     return [((), (cls.hom.witnesses or cls.omap.witnesses)[0])]
 
 

@@ -4,8 +4,10 @@ A mapping is classified against two laws: the homomorphism law
 kappa(x->y) = kappa(x)->kappa(y), and the order-map (O-map) law
 unit_X <= x->y  implies  unit_Y <= kappa(x)->kappa(y).  A map satisfying
 both is an O-homomorphism.  `classify` returns a MorphismClass holding one
-CheckReport per law, its witnesses the failing pairs (x, y) cut at the cap
-by `CheckReport.collect`.  `decide_laws` decides both laws at once on a
+CheckReport per law, its witnesses the failing pairs (x, y), cut only at a
+cap its caller passes.  The order conclusions of an O-homomorphism
+(`_monotonicity`, `_closed_kernel_condition`, `check_reflection_condition`)
+list every witness.  `decide_laws` decides both laws at once on a
 byte table, for the fast path of `classify` and the pass over pairs of
 O-homomorphisms.  Kernels are defined for arbitrary mappings:
 ker(kappa) = {x : unit_Y <= kappa(x)} under the target's stored relation.
@@ -19,7 +21,6 @@ import itertools
 from typing import Iterator, NamedTuple
 
 from .core import (
-    DEFAULT_WITNESS_CAP,
     BudgetError,
     CheckReport,
     RawStructure,
@@ -113,7 +114,7 @@ def decide_laws(src: RawStructure, dst: RawStructure, table: bytes) -> tuple[int
     return ker, lhs == b"".join([table.translate(rows[v]) for v in table])
 
 
-def classify(m: Mapping, *, witness_cap: int | None = DEFAULT_WITNESS_CAP) -> MorphismClass:
+def classify(m: Mapping, *, witness_cap: int | None = None) -> MorphismClass:
     """Evaluate both morphism laws over all pairs of source elements.
 
     Both laws are first decided at once by `decide_laws`; only when one
@@ -141,7 +142,7 @@ def classify(m: Mapping, *, witness_cap: int | None = DEFAULT_WITNESS_CAP) -> Mo
                          CheckReport.collect("o-map", omap_w, witness_cap))
 
 
-def _monotonicity(m: Mapping, witness_cap: int | None) -> CheckReport:
+def _monotonicity(m: Mapping) -> CheckReport:
     """The three order conclusions every O-homomorphism must satisfy, for
     a map its caller has classified as one.
 
@@ -162,7 +163,7 @@ def _monotonicity(m: Mapping, witness_cap: int | None) -> CheckReport:
                 if src.order[x][y] and not dst.order[t[x]][t[y]]:
                     yield ("order", x, y)
 
-    return CheckReport.collect("monotone", violations(), witness_cap)
+    return CheckReport.collect("monotone", violations())
 
 
 def kernel_mask(m: Mapping) -> int:
@@ -205,7 +206,7 @@ def kernel_alt(m: Mapping) -> Subset:
     return Subset.from_indices(m.source, members)
 
 
-def _closed_kernel_condition(m: Mapping, ker: int, witness_cap: int | None) -> CheckReport:
+def _closed_kernel_condition(m: Mapping, ker: int) -> CheckReport:
     """kappa(unit_X) <= kappa(x) forces x->unit_X into the kernel, for a
     map its caller has classified as an O-homomorphism, whose kernel mask
     `ker` it has already taken."""
@@ -216,16 +217,15 @@ def _closed_kernel_condition(m: Mapping, ker: int, witness_cap: int | None) -> C
         (x,) for x in range(src.n)
         if e_img_row[t[x]] and not ker >> src.op[x][src.unit] & 1
     )
-    return CheckReport.collect("closed-kernel-condition", viol, witness_cap)
+    return CheckReport.collect("closed-kernel-condition", viol)
 
 
-def check_reflection_condition(m: Mapping, *,
-                               witness_cap: int | None = DEFAULT_WITNESS_CAP) -> CheckReport:
+def check_reflection_condition(m: Mapping) -> CheckReport:
     """unit_Y <= kappa(x) reflects to unit_X <= x (no morphism law assumed)."""
     cone_s = m.source.order[m.source.unit]
     cone_t = m.target.order[m.target.unit]
     viol = ((x,) for x in range(m.source.n) if cone_t[m.table[x]] and not cone_s[x])
-    return CheckReport.collect("reflection-condition", viol, witness_cap)
+    return CheckReport.collect("reflection-condition", viol)
 
 
 def image_mask(m: Mapping, mask: int) -> int:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .core import (
-    DEFAULT_WITNESS_CAP,
     BudgetError,
     CheckReport,
     RawStructure,
@@ -73,12 +72,12 @@ def product_structure(x1: RawStructure, x2: RawStructure) -> RawStructure:
     )
 
 
-def direct_product(x1: RawStructure, x2: RawStructure, *,
-                   witness_cap: int | None = DEFAULT_WITNESS_CAP,
+def direct_product(x1: RawStructure, x2: RawStructure, *, witness_cap: int | None = None
                    ) -> tuple[ProductAlgebra, CheckReport]:
     """Build the combined structure and report whether it is an algebra.
 
-    The report's witnesses are tagged with the failing axiom id.
+    The report's witnesses are tagged with the failing axiom id; each
+    axiom lists at most `witness_cap` of them (every one for None).
     """
     if x1.n * x2.n > DEFAULT_PRODUCT_BUDGET:
         raise BudgetError(

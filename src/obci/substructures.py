@@ -14,7 +14,6 @@ from functools import partial
 from typing import NamedTuple
 
 from .core import (
-    DEFAULT_WITNESS_CAP,
     BudgetError,
     CheckReport,
     PreconditionError,
@@ -45,7 +44,7 @@ def _check_universe(a: RawStructure, s: Subset) -> None:
 
 
 def is_subalgebra(a: RawStructure, s: Subset, *,
-                  witness_cap: int | None = DEFAULT_WITNESS_CAP) -> CheckReport:
+                  witness_cap: int | None = None) -> CheckReport:
     """Closure under the operation: x, y in s implies x->y in s."""
     _check_universe(a, s)
     op = a.op
@@ -55,7 +54,7 @@ def is_subalgebra(a: RawStructure, s: Subset, *,
 
 
 def is_ordered_subalgebra(a: RawStructure, s: Subset, *,
-                          witness_cap: int | None = DEFAULT_WITNESS_CAP) -> CheckReport:
+                          witness_cap: int | None = None) -> CheckReport:
     """Closure under the operation for cone members of s only."""
     _check_universe(a, s)
     op = a.op
@@ -85,30 +84,29 @@ def _filter_violations(a: RawStructure, s: Subset, ordered: bool):
 
 
 def is_filter(a: RawStructure, s: Subset, *,
-              witness_cap: int | None = DEFAULT_WITNESS_CAP) -> CheckReport:
+              witness_cap: int | None = None) -> CheckReport:
     """Contains the unit and is closed under detachment (x->y, x |- y)."""
     _check_universe(a, s)
     return CheckReport.collect("filter", _filter_violations(a, s, ordered=False), witness_cap)
 
 
 def is_ordered_filter(a: RawStructure, s: Subset, *,
-                      witness_cap: int | None = DEFAULT_WITNESS_CAP) -> CheckReport:
+                      witness_cap: int | None = None) -> CheckReport:
     """Contains the unit and is closed under order detachment."""
     _check_universe(a, s)
     return CheckReport.collect("ordered-filter", _filter_violations(a, s, ordered=True), witness_cap)
 
 
-def satisfies_cone_condition(a: RawStructure, s: Subset, *,
-                             witness_cap: int | None = DEFAULT_WITNESS_CAP) -> CheckReport:
+def satisfies_cone_condition(a: RawStructure, s: Subset) -> CheckReport:
     """Every member sits above the unit."""
     _check_universe(a, s)
     cone = a.order[a.unit]
     viol = ((x,) for x in s.members() if not cone[x])
-    return CheckReport.collect("cone-condition", viol, witness_cap)
+    return CheckReport.collect("cone-condition", viol)
 
 
 def is_closed(a: RawStructure, s: Subset, kind: SubstructureKind, *,
-              witness_cap: int | None = DEFAULT_WITNESS_CAP) -> CheckReport:
+              witness_cap: int | None = None) -> CheckReport:
     """Closedness of a filter (= also a subalgebra) or an ordered filter
     (= also an ordered subalgebra).
 
@@ -136,8 +134,9 @@ CHECKS = {
     SubstructureKind.CLOSED_ORDERED_FILTER: partial(
         is_closed, kind=SubstructureKind.ORDERED_FILTER),
 }
-"""The check deciding each kind, called as check(a, s, witness_cap=...).
-The closed kinds raise PreconditionError on a set that is no filter."""
+"""The check deciding each kind, called as check(a, s) for every witness
+or check(a, s, witness_cap=N) for at most N.  The closed kinds raise
+PreconditionError on a set that is no filter."""
 
 
 def holds_for(a: RawStructure, s: Subset, kind: SubstructureKind) -> bool:
@@ -166,7 +165,7 @@ class Atlas(NamedTuple):
         subsets = [Subset(a, mask) for mask in range(1 << a.n)]
 
         def decided(predicate) -> int:
-            return sum(1 << s.mask for s in subsets if predicate(a, s, witness_cap=1).holds)
+            return sum(1 << s.mask for s in subsets if predicate(a, s).holds)
 
         return cls(decided(is_filter), decided(is_ordered_filter), decided(is_subalgebra),
                    decided(is_ordered_subalgebra), decided(satisfies_cone_condition))

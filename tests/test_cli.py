@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from obci import Subset, SubstructureKind, parse_algebra
+from obci import Subset, SubstructureKind, parse_algebra, serialize_algebra
 from obci.cli import main
 from obci import fixtures as fx
+from obci.core import check_axiom, relation_reports
+from obci.products import product_structure
 
 
 def run(capsys, *argv):
@@ -482,6 +484,64 @@ def test_exhaustive_flag(capsys):
     assert "+more" not in out
     law_lines = [l for l in out.splitlines() if l.startswith("LAW")]
     assert sum(l.count("(") for l in law_lines) == 26 + 8 + 2 + 5
+
+
+def test_library_lists_every_witness_and_the_cli_caps_at_32(tmp_path, capsys):
+    p = product_structure(fx.ALGEBRAS["diamond"], fx.ALGEBRAS["chain4"])
+    transitive = relation_reports(p)[2]
+    linking = check_axiom(p, "OBCI-5")
+    assert (transitive.law, len(transitive.witnesses), transitive.truncated) == \
+        ("order-transitive", 48, False)
+    assert (len(linking.witnesses), linking.truncated) == (34, False)
+
+    path = tmp_path / "p.alg"
+    path.write_text(serialize_algebra(p), encoding="utf-8")
+
+    def linking_line(*flags):
+        rc, out, _ = run(capsys, *flags, "--format", "machine", "axioms", str(path))
+        assert rc == 1
+        [line] = [l for l in out.splitlines() if l.startswith("LAW OBCI-5 ")]
+        return line.split()[3:]
+
+    capped = linking_line()
+    assert (len(capped), capped[-1]) == (33, "+more")
+    every = linking_line("--exhaustive")
+    assert (len(every), every[:32]) == (34, capped[:32])
+
+
+def _map_file(tmp_path):
+    path = tmp_path / "m.map"
+    path.write_text(fx.fixture_text("exy-to-ea").replace("map exy-to-ea", "map copy"),
+                    encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("classify", "{map}"), "{map}: map files need explicit <src> and <dst> algebra files"),
+    (("search", "no-such-query"), "search: unknown search query 'no-such-query'"),
+    (("fixtures", "dump"), "fixtures: fixtures dump needs a fixture name"),
+])
+def test_usage_errors_print_one_error_line(tmp_path, capsys, argv, message):
+    mp = _map_file(tmp_path)
+    rc, out, err = run(capsys, *(a.format(map=mp) for a in argv))
+    assert (rc, out, err) == (2, "", f"error: {message.format(map=mp)}\n")
+
+
+def test_renamed_copies_of_fixtures_are_not_audited(tmp_path, capsys):
+    # a file is audited only when it equals the bundled fixture of its name
+    alg = tmp_path / "mid3.alg"
+    alg.write_text(fx.fixture_text("mid3").replace("algebra mid3", "algebra copy"),
+                   encoding="utf-8")
+    rc, out, _ = run(capsys, "--format", "machine", "validate", str(alg))
+    assert (rc, "AXIOMS 2/6" in out, "FINDING" in out) == (1, True, False)
+
+    endpoints = []
+    for name in ("exy", "ea"):
+        endpoints.append(tmp_path / f"{name}.alg")
+        endpoints[-1].write_text(fx.fixture_text(name), encoding="utf-8")
+    rc, out, _ = run(capsys, "--format", "machine", "kernel", _map_file(tmp_path),
+                     *map(str, endpoints))
+    assert (rc, out) == (0, "KER {e,x}\n")
 
 
 _LEAN_IMPORT = """

@@ -168,9 +168,7 @@ def _all_law_reports(s):
     """The 15 laws on a raw structure, uncapped: axioms, identities, order."""
     # the identities are evaluated on any structure, valid or not
     unchecked = ValidatedAlgebra(s, Subset.from_indices(s, s.cone_members()))
-    return (axiom_reports(s, witness_cap=None)
-            + derived_identity_reports(unchecked, witness_cap=None)
-            + relation_reports(s, witness_cap=None))
+    return axiom_reports(s) + derived_identity_reports(unchecked) + relation_reports(s)
 
 
 def _law_table():

@@ -67,6 +67,38 @@ def test_parse_errors_carry_location():
         parse_algebra("algebra t\nelements e\nunit e\n")
 
 
+_ALGEBRA = "algebra t\nelements e a\nunit e\nop\ne a\na e\norder\ne<=e\n"
+
+
+def _parse(source, text):
+    """The algebra file parser for a .alg source, the map file parser (of a
+    map from exy to ea) for a .map one."""
+    if source.endswith(".alg"):
+        return parse_algebra(text, source=source)
+    return parse_map(text, fx.ALGEBRAS["exy"], fx.ALGEBRAS["ea"], source=source)
+
+
+@pytest.mark.parametrize("source, text, line, message", [
+    ("t.alg", _ALGEBRA.replace("algebra t", "algebra"), 1, "expected 'algebra <name>'"),
+    ("t.alg", _ALGEBRA.replace("elements e a", "elements"), 2,
+     "expected 'elements <l1> <l2> ...'"),
+    ("t.alg", _ALGEBRA.replace("elements e a", "elements e a<=b"), 2,
+     "label 'a<=b' may not contain '<='"),
+    ("t.alg", _ALGEBRA.replace("unit e", "unit"), 3, "expected 'unit <label>'"),
+    ("t.alg", _ALGEBRA.replace("op", "op e"), 4, "expected 'op' on its own line"),
+    ("t.alg", _ALGEBRA.replace("order", "orders"), 7,
+     "expected 'order' after the operation rows"),
+    ("t.alg", _ALGEBRA.replace("e<=e", "e<=z"), 8, "unknown element in order pair 'e<=z'"),
+    ("t.map", "# no map here\n", None, "empty map file"),
+    ("t.map", "map m : exy -> ea\ne -> e\nx => e\n", 3, "expected '<a> -> <b>', got 'x => e'"),
+])
+def test_format_errors_name_source_line_and_cause(source, text, line, message):
+    with pytest.raises(ParseError) as exc:
+        _parse(source, text)
+    where = source if line is None else f"{source}:{line}"
+    assert (str(exc.value), exc.value.line) == (f"{where}: {message}", line)
+
+
 def test_map_parse_errors():
     exy, ea = fx.ALGEBRAS["exy"], fx.ALGEBRAS["ea"]
     good = "map m : exy -> ea\ne -> e\nx -> e\ny -> a\n"

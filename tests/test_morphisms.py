@@ -22,7 +22,6 @@ from obci import (
     preimage,
 )
 from obci import fixtures as fx
-from obci.core import DEFAULT_WITNESS_CAP
 from obci.harness import enumerate_obci
 from obci.morphisms import _closed_kernel_condition, _monotonicity, decide_laws, kernel_mask
 
@@ -106,8 +105,8 @@ def test_identity_is_ohomomorphism_even_on_raw_structures():
 def test_monotonicity_of_ohomomorphisms():
     # the sweep checks the conclusions only on maps it has classified as
     # O-homomorphisms, and diamond-to-chain is none
-    assert _monotonicity(exy_to_ea, DEFAULT_WITNESS_CAP).holds
-    assert _monotonicity(constant_to_unit(exy, ea), DEFAULT_WITNESS_CAP).holds
+    assert _monotonicity(exy_to_ea).holds
+    assert _monotonicity(constant_to_unit(exy, ea)).holds
     assert not classify(d2c).is_ohom
 
 
@@ -146,7 +145,7 @@ def test_kernel_alt_of_constant_map_is_everything():
 
 def test_closed_kernel_condition():
     def condition(m):
-        return _closed_kernel_condition(m, kernel(m).mask, DEFAULT_WITNESS_CAP)
+        return _closed_kernel_condition(m, kernel(m).mask)
 
     assert condition(exy_id).holds
     assert condition(constant_to_unit(exy, exy)).holds
