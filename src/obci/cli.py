@@ -52,9 +52,6 @@ class _Out:
     def __init__(self, machine: bool):
         self.machine = machine
 
-    def line(self, s: str):
-        print(s)
-
     def note(self, text_msg: str, machine_token: str):
         print(machine_token if self.machine else text_msg)
 
@@ -83,9 +80,7 @@ class _Out:
 def _fmt_witness(w, labels) -> str:
     parts = []
     for item in w:
-        if isinstance(item, bool):
-            parts.append(str(item))
-        elif isinstance(item, int):
+        if isinstance(item, int):
             parts.append(labels[item] if labels is not None else str(item))
         elif isinstance(item, tuple):
             parts.append(_fmt_witness(item, labels))
@@ -168,8 +163,7 @@ def _cmd_substructure(args, out: _Out) -> int:
         r = check(s, subset, witness_cap=args.witness_cap)
     except PreconditionError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
-        if exc.report is not None:
-            out.law(exc.report, s.labels)
+        out.law(exc.report, s.labels)
         return 2
     out.law(r, s.labels)
     return 0 if r.holds else 1
@@ -306,9 +300,9 @@ def _cmd_search(args, out: _Out) -> int:
 def _cmd_fixtures(args, out: _Out) -> int:
     if args.action == "list":
         for name in fixture_lib.ALGEBRAS:
-            out.line(f"{name} algebra")
+            print(f"{name} algebra")
         for name, m in fixture_lib.MAPS.items():
-            out.line(f"{name} map {m.source.name} {m.target.name}")
+            print(f"{name} map {m.source.name} {m.target.name}")
         return 0
     if args.name is None:
         raise ParseError("fixtures dump needs a fixture name", "fixtures")

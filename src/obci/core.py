@@ -41,7 +41,7 @@ class UniverseMismatchError(ValueError):
 class PreconditionError(ValueError):
     """An operation was called on input failing its precondition."""
 
-    def __init__(self, message: str, report: "CheckReport | None" = None):
+    def __init__(self, message: str, report: "CheckReport"):
         super().__init__(message)
         self.report = report
 
@@ -94,9 +94,6 @@ class CheckReport(NamedTuple):
         return cls(law, holds=all(r.holds for r in reports),
                    witnesses=tuple((r.law, *w) for r in reports for w in r.witnesses),
                    truncated=any(r.truncated for r in reports))
-
-    def relabeled(self, law: str) -> "CheckReport":
-        return self._replace(law=law)
 
 
 class _Value:
@@ -281,10 +278,6 @@ class ValidatedAlgebra(NamedTuple):
     @property
     def name(self) -> str:
         return self.structure.name
-
-    @property
-    def unit(self) -> int:
-        return self.structure.unit
 
 
 # --- laws as data ------------------------------------------------------------

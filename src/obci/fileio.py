@@ -43,20 +43,18 @@ def _logical_lines(text: str):
 
 
 def parse_algebra(text: str, *, source: str = "<string>") -> RawStructure:
-    lines = list(_logical_lines(text))
-    pos = 0
+    lines = _logical_lines(text)
 
     def take(expected: str):
-        nonlocal pos
-        if pos >= len(lines):
+        line = next(lines, None)
+        if line is None:
             raise ParseError(f"missing '{expected}' section", source)
-        return lines[pos]
+        return line
 
     ln, toks = take("algebra")
     if toks[0] != "algebra" or len(toks) != 2:
         raise ParseError("expected 'algebra <name>'", source, ln)
     name = toks[1]
-    pos += 1
 
     ln, toks = take("elements")
     if toks[0] != "elements" or len(toks) < 2:
@@ -69,7 +67,6 @@ def parse_algebra(text: str, *, source: str = "<string>") -> RawStructure:
         raise ParseError("element labels must be pairwise distinct", source, ln)
     index = {l: i for i, l in enumerate(labels)}
     n = len(labels)
-    pos += 1
 
     ln, toks = take("unit")
     if toks[0] != "unit" or len(toks) != 2:
@@ -77,12 +74,10 @@ def parse_algebra(text: str, *, source: str = "<string>") -> RawStructure:
     if toks[1] not in index:
         raise ParseError(f"unit {toks[1]!r} is not an element", source, ln)
     unit = index[toks[1]]
-    pos += 1
 
     ln, toks = take("op")
     if toks != ["op"]:
         raise ParseError("expected 'op' on its own line", source, ln)
-    pos += 1
     op_rows = []
     for i in range(n):
         ln, toks = take(f"operation row {i}")
@@ -94,15 +89,12 @@ def parse_algebra(text: str, *, source: str = "<string>") -> RawStructure:
                 raise ParseError(f"unknown element {t!r} in operation row {i}", source, ln)
             row.append(index[t])
         op_rows.append(tuple(row))
-        pos += 1
 
     ln, toks = take("order")
     if toks != ["order"]:
         raise ParseError("expected 'order' after the operation rows", source, ln)
-    pos += 1
     order = [[False] * n for _ in range(n)]
-    while pos < len(lines):
-        ln, toks = lines[pos]
+    for ln, toks in lines:  # the order pairs are the rest of the file
         for t in toks:
             if "<=" not in t:
                 raise ParseError(f"expected '<a><=<b>' pair, got {t!r}", source, ln)
@@ -110,7 +102,6 @@ def parse_algebra(text: str, *, source: str = "<string>") -> RawStructure:
             if a not in index or b not in index:
                 raise ParseError(f"unknown element in order pair {t!r}", source, ln)
             order[index[a]][index[b]] = True
-        pos += 1
 
     try:
         return RawStructure(name, labels, tuple(op_rows), unit,

@@ -760,16 +760,14 @@ def _check_maps(claims, pool):
     and then only to name each map whose signature failed.
     """
     tallies = {c: [0, 0, []] for c in claims}
-    failing = {}  # target position -> the (claim, image set) pairs failing there
 
+    @cache
     def failing_at(j: int) -> set:
-        if j not in failing:
-            target = pool.algebras[j].structure
-            reps = [(image, _Map(_representative(target, image)))
-                    for image in range(1, 1 << target.n)]
-            failing[j] = {(c, image) for c in claims for image, rep in reps
-                          if CLAIMS[c].conclusion(rep)}
-        return failing[j]
+        """The (claim, image set) pairs failing at the target in position j."""
+        target = pool.algebras[j].structure
+        reps = [(image, _Map(_representative(target, image)))
+                for image in range(1, 1 << target.n)]
+        return {(c, image) for c in claims for image, rep in reps if CLAIMS[c].conclusion(rep)}
 
     for i, j, count, maps in pool.map_blocks():
         if i is None or j is None:
@@ -783,7 +781,7 @@ def _check_maps(claims, pool):
         for m in maps:
             inst, image = _Map(m), image_mask(m, (1 << m.source.n) - 1)
             for claim in claims:
-                if (claim, image) in failing[j]:
+                if (claim, image) in failing_at(j):
                     tallies[claim][2].extend(
                         Counterexample(inst.context + extra, witness)
                         for extra, witness in CLAIMS[claim].conclusion(inst))

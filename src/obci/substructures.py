@@ -4,7 +4,9 @@ All predicates accept a RawStructure so that deliberately inconsistent
 fixtures can be probed; "unit <= w" is always the stored relation's unit
 row.  Witness conventions: closure failures are (x, y) pairs, cone-
 condition failures are (x,) singletons, and a filter missing its unit
-reports the marker witness ("missing-unit",).
+reports the marker witness ("missing-unit",).  `enumerate_substructures`
+asks each kind's check for its verdict alone (a cap of 0); a set failing a
+closed kind's precondition fails.
 """
 
 from __future__ import annotations
@@ -116,12 +118,13 @@ def is_closed(a: RawStructure, s: Subset, kind: SubstructureKind, *,
         pre = is_filter(a, s, witness_cap=witness_cap)
         if not pre.holds:
             raise PreconditionError(f"{s.member_labels()} is not a filter of {a.name!r}", pre)
-        return is_subalgebra(a, s, witness_cap=witness_cap).relabeled("closed-filter")
+        return is_subalgebra(a, s, witness_cap=witness_cap)._replace(law="closed-filter")
     if kind is SubstructureKind.ORDERED_FILTER:
         pre = is_ordered_filter(a, s, witness_cap=witness_cap)
         if not pre.holds:
             raise PreconditionError(f"{s.member_labels()} is not an ordered filter of {a.name!r}", pre)
-        return is_ordered_subalgebra(a, s, witness_cap=witness_cap).relabeled("closed-ordered-filter")
+        return is_ordered_subalgebra(a, s, witness_cap=witness_cap)._replace(
+            law="closed-ordered-filter")
     raise ValueError(f"is_closed expects FILTER or ORDERED_FILTER, got {kind}")
 
 
@@ -134,17 +137,9 @@ CHECKS = {
     SubstructureKind.CLOSED_ORDERED_FILTER: partial(
         is_closed, kind=SubstructureKind.ORDERED_FILTER),
 }
-"""The check deciding each kind, called as check(a, s) for every witness
-or check(a, s, witness_cap=N) for at most N.  The closed kinds raise
-PreconditionError on a set that is no filter."""
-
-
-def holds_for(a: RawStructure, s: Subset, kind: SubstructureKind) -> bool:
-    """Verdict of the kind's check; a set failing its precondition fails."""
-    try:
-        return CHECKS[kind](a, s, witness_cap=1).holds
-    except PreconditionError:
-        return False
+"""The check deciding each kind, called as check(a, s) for every witness,
+check(a, s, witness_cap=N) for at most N, or with N = 0 for the verdict
+alone.  The closed kinds raise PreconditionError on a set that is no filter."""
 
 
 class Atlas(NamedTuple):
@@ -186,9 +181,13 @@ def enumerate_substructures(a: RawStructure, kind: SubstructureKind) -> list[Sub
             f"carrier size {a.n} exceeds the enumeration budget of "
             f"{DEFAULT_ENUMERATION_BUDGET}"
         )
+    check = CHECKS[kind]
     out = []
     for mask in range(1 << a.n):
         s = Subset(a, mask)
-        if holds_for(a, s, kind):
-            out.append(s)
+        try:
+            if check(a, s, witness_cap=0).holds:
+                out.append(s)
+        except PreconditionError:
+            pass
     return out

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from obci import Subset, SubstructureKind, parse_algebra, serialize_algebra
-from obci.cli import main
+from obci.cli import _fmt_witness, main
 from obci import fixtures as fx
 from obci.core import check_axiom, relation_reports
 from obci.products import product_structure
@@ -316,6 +316,12 @@ def test_morphism_laws_cut_at_the_cap_end_in_more(capsys, fmt, cap, argv):
             expected.append(f"law {law}: VIOLATED{'' if cap == '0' else ' at ' + first} +more")
     assert rc == 1
     assert [l for l in out.splitlines() if l.lower().startswith("law ")] == expected
+
+
+def test_nested_witness_prints_each_label_tuple():
+    # A refuted T-product-kernel-projection names its two projected kernels
+    # as label tuples, each printed as a parenthesized witness of its own.
+    assert _fmt_witness((("e", "a"), ("e",)), None) == "((e,a),(e))"
 
 
 def test_enumerate_command(capsys):

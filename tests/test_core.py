@@ -19,7 +19,11 @@ from obci import (
     check_derived_identities,
     classify,
     derived_identity_reports,
+    enumerate_obci,
+    enumerate_obci_naive,
     is_subalgebra,
+    k_upper_sets,
+    kernel,
     order_from_cone,
     parse_algebra,
     parse_map,
@@ -289,6 +293,34 @@ def test_structure_well_formedness_errors():
                      ((True, False), (False, True)))
     with pytest.raises(StructureError, match="order"):
         RawStructure("bad", ("e", "a"), ((0, 1), (1, 0)), 0, ((True,),))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: delattr(Subset.full(exy), "mask"), AttributeError,
+     "cannot delete field 'mask'"),
+    (lambda: delattr(exy, "name"), AttributeError, "cannot delete field 'name'"),
+    (lambda: RawStructure("bad", (), (), 0, ()), StructureError,
+     "bad: carrier must be non-empty"),
+    (lambda: RawStructure("bad", ("e", "a"), ((0, 1), (1,)), 0,
+                          ((True, False), (False, True))), StructureError,
+     "bad: operation row 1 needs 2 entries, got 1"),
+    (lambda: check_axiom(exy, "OBCI-7"), ValueError, "unknown axiom id 'OBCI-7'"),
+    (lambda: order_from_cone(exy.op, 3, (0,)), StructureError, "unit index 3 out of range"),
+    (lambda: order_from_cone(((0, 1), (1,)), 0, (0,)), StructureError,
+     "operation table must be square"),
+    # both enumerators are generators: the guard runs on the first next()
+    (lambda: next(enumerate_obci(0)), ValueError, "carrier size must be at least 1"),
+    (lambda: next(enumerate_obci_naive(0)), ValueError, "carrier size must be at least 1"),
+    (lambda: k_upper_sets(kernel(fx.MAPS["diamond-to-chain"]), Subset.full(ea),
+                          fx.MAPS["diamond-to-chain"], fx.MAPS["exy-to-ea"]),
+     UniverseMismatchError, "k_upper_sets: K2 is not over the second map's source"),
+], ids=["del-subset-field", "del-structure-field", "no-labels", "short-op-row",
+        "unknown-axiom", "cone-unit-out-of-range", "cone-table-not-square",
+        "enumerate-size-0", "enumerate-naive-size-0", "k2-over-other-carrier"])
+def test_input_guards_raise_their_errors(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert (type(exc.value), str(exc.value)) == (error, message)
 
 
 def test_subset_operations_and_universe_guard():
