@@ -61,7 +61,6 @@ from .harness import (
     enumerate_obci_naive,
     find_counterexample,
     verify_all,
-    verify_claim,
 )
 from .fileio import (
     ParseError,

@@ -151,7 +151,18 @@ def _cmd_axioms(args, out: _Out) -> int:
 
 
 def _parse_set(s: RawStructure, set_text: str) -> Subset:
-    labels = [t for t in set_text.split(",") if t]
+    """The subset named by comma-separated labels.  A label may itself hold
+    commas, as a product element "(e,a)" does: comma-separated pieces are
+    joined until they form a label of `s`; an empty piece between two
+    labels is skipped, and text left unmatched is an unknown element."""
+    labels, pending = [], ""
+    for piece in set_text.split(","):
+        pending = f"{pending},{piece}" if pending else piece
+        if pending in s.labels:
+            labels.append(pending)
+            pending = ""
+    if pending:
+        labels.append(pending)  # no label: from_labels names it as unknown
     return Subset.from_labels(s, labels)
 
 
@@ -342,7 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("substructure", help="test a subset against a predicate")
     p.add_argument("file")
     p.add_argument("--set", required=True, metavar="a,b,...",
-                   help="comma-separated element labels (empty for the empty set)")
+                   help="comma-separated element labels, empty for the empty "
+                   "set; pieces are joined until they form a label, so a "
+                   "product element such as (e,a) is written as it is")
     p.add_argument("--kind", required=True, choices=sorted(_KIND_CHOICES))
     p.set_defaults(func=_cmd_substructure)
 

@@ -13,9 +13,8 @@ the maps or the ordered pairs of O-homomorphisms of a sweep), a
 hypothesis and a conclusion, and `CLAIM_IDS` is its key order.
 `verify_all` machine-checks claims over a scope (enumerated sizes or the
 bundled fixtures), counting hypothesis-skipped instances and collecting
-counterexamples, and `verify_claim` is `verify_all` of one claim;
-`find_counterexample` answers separating-example queries such as
-"hom-not-omap".
+counterexamples; `find_counterexample` answers separating-example
+queries such as "hom-not-omap".
 
 Subset predicates are decided once per algebra: the pool keeps an atlas
 (`substructures.Atlas`) of each algebra, one bitset per predicate over
@@ -39,11 +38,12 @@ without building the other maps, each classified and its kernel taken
 once.  Every claim of the O-hom pass asks for an O-homomorphism, so each
 other map is one skip for it, counted by arithmetic: the number of maps
 less the number of O-homs.  With `jobs=J` the sweep is cut into J fixed
-parts, each run by a worker process that builds the pool once: part k
-takes the contiguous slice k of the algebras, of the O-homs and of the
-pairs' first factors; part 0 also runs the map pass whole and counts the
-skipped maps; and the parent adds each claim's partial reports up in k
-order, so counterexamples stay in pass order.
+parts of one pool, built before the workers start, each part run by a
+worker process of its own: part k takes the contiguous slice k of the
+algebras, of the O-homs and of the pairs' first factors; part 0 also
+runs the map pass whole and counts the skipped maps; and the parent adds
+each claim's partial reports up in k order, so counterexamples stay in
+pass order.
 
 The map pass and the pair pass memoize on a signature, the part of an
 instance that fixes the verdict of every claim of the scope.  A map's is
@@ -801,28 +801,23 @@ def _known(claim: str) -> str:
     return claim
 
 
-def verify_claim(claim: str, *, sizes=None, fixtures=False,
-                 up_to_iso: bool = False) -> SweepReport:
-    """Machine-check one claim over the scope, as `verify_all` of that claim
-    alone; see CLAIM_IDS for names."""
-    return verify_all((claim,), sizes=sizes, fixtures=fixtures, up_to_iso=up_to_iso)[0]
-
-
 def verify_all(claims=CLAIM_IDS, *, sizes=None, fixtures=False,
                up_to_iso: bool = False, jobs: int = 1) -> list[SweepReport]:
-    """Run several claims over one shared scope, split into `jobs` parts.
+    """Run several claims over one shared scope, split into `jobs` parts;
+    see CLAIM_IDS for names.
 
-    Each part (see `_run_part`) builds its own pool; with jobs > 1 every
-    part runs in a worker process of its own.  Reports come back in claim
-    order and equal a serial run's: each claim's partial reports are added
-    up, their counterexamples concatenated in part order.
+    The scope's pool is built once, here, and every part (see `_run_part`)
+    slices it; with jobs > 1 every part runs in a worker process of its
+    own, which inherits the pool or receives it pickled.  Reports come
+    back in claim order and equal a serial run's: each claim's partial
+    reports are added up, their counterexamples concatenated in part order.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     claims = tuple(_known(c) for c in claims)
     if not claims:
         return []
-    args = (claims, (sizes, fixtures, up_to_iso))
+    args = (claims, _pool_for(sizes, fixtures, up_to_iso=up_to_iso))
     parts = [_run_part(*args, 0, 1)] if jobs == 1 else _run_in_workers(args, jobs)
     return [SweepReport(c, sum(r.instances_checked for r in reports),
                         sum(r.hypothesis_skipped for r in reports),
@@ -856,13 +851,11 @@ def _run_pass(pool: _Pool, scope: str, claims, part):
     return _check(claims, instances, unseen)
 
 
-def _run_part(claims, scope, k, parts):
+def _run_part(claims, pool: _Pool, k, parts):
     """Part k of `parts`: each claim's report over slice k of the algebras,
     the O-homs and the O-hom pairs' first factors, and in part 0 over every
     map, in claim order.  This is the one place passes run: one per scope,
     in the order the scopes first occur among `claims`, over one pool."""
-    sizes, fixtures, up_to_iso = scope
-    pool = _pool_for(sizes, fixtures, up_to_iso=up_to_iso)
     results = {}
     for s in dict.fromkeys(CLAIMS[c].scope for c in claims):
         group = [c for c in dict.fromkeys(claims) if CLAIMS[c].scope == s]
@@ -951,7 +944,7 @@ def find_counterexample(query: str, *, sizes=None, fixtures=False,
                 return Counterexample(_ctx(m), cls.hom.witnesses[0])
         return None
     if query in CLAIM_IDS:
-        report = verify_claim(query, sizes=sizes, fixtures=fixtures,
-                              up_to_iso=up_to_iso)
+        report, = verify_all((query,), sizes=sizes, fixtures=fixtures,
+                             up_to_iso=up_to_iso)
         return report.counterexamples[0] if report.counterexamples else None
     raise ValueError(f"unknown search query {query!r}")

@@ -1,5 +1,6 @@
 import importlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -7,11 +8,22 @@ from pathlib import Path
 
 import pytest
 
-from obci import Subset, SubstructureKind, parse_algebra, serialize_algebra
-from obci.cli import _fmt_witness, main
+from obci import (
+    Mapping,
+    Subset,
+    SubstructureKind,
+    kernel,
+    load_algebra,
+    parse_algebra,
+    serialize_algebra,
+    serialize_map,
+)
+from obci.cli import _fmt_witness, _parse_set, main
 from obci import fixtures as fx
+from obci import harness
 from obci.core import check_axiom, relation_reports
 from obci.products import product_structure
+from obci.substructures import Atlas
 
 
 def run(capsys, *argv):
@@ -162,6 +174,32 @@ def test_product_command_writes_parseable_file(tmp_path, capsys):
     assert parsed.labels[0] == "(e,e)"
 
 
+def test_set_names_product_elements(tmp_path, capsys):
+    dest = tmp_path / "prod.alg"
+    assert run(capsys, "product", "fixture:exy", "fixture:ea", "-o", str(dest))[0] == 0
+    product = load_algebra(str(dest))
+    for mask in range(1 << product.n):
+        text = ",".join(Subset(product, mask).member_labels())
+        assert _parse_set(product, text).mask == mask, text
+    exy = fx.ALGEBRAS["exy"]
+    assert _parse_set(exy, "e,,x") == Subset.from_labels(exy, ("e", "x"))
+    rc, out, err = run(capsys, "--format", "machine", "substructure", str(dest),
+                       "--set", "(e,e),(x,a)", "--kind", "filter")
+    assert (rc, out, err) == (1, "LAW filter FAIL ((x,a),(e,a))\n", "")
+
+
+@pytest.mark.parametrize("text, unmatched", [("(e,e),(q,a)", "(q,a)"),
+                                             ("(e,e),(x", "(x"),
+                                             ("q,(e,e)", "q,(e,e)")])
+def test_set_with_an_unknown_element_is_a_usage_error(tmp_path, capsys, text, unmatched):
+    dest = tmp_path / "prod.alg"
+    run(capsys, "product", "fixture:exy", "fixture:ea", "-o", str(dest))
+    rc, out, err = run(capsys, "substructure", str(dest), "--set", text,
+                       "--kind", "filter")
+    assert (rc, out) == (2, "")
+    assert err == f"error: exyxea: unknown element {unmatched!r}\n"
+
+
 def test_product_with_invalid_factor_fails(capsys):
     rc, out, _ = run(capsys, "--format", "machine", "product",
                      "fixture:exy", "fixture:mid3")
@@ -219,6 +257,45 @@ def test_verify_all_output_is_pinned(capsys, cap, scope, reference):
     rc, out, _ = run(capsys, "--format", "machine", *cap, "verify", "all", *scope)
     assert rc == 1
     assert out.encode() == (Path(__file__).parent / "data" / reference).read_bytes()
+
+
+def test_filter_image_refutation_files_recheck(tmp_path, capsys):
+    # T-filter-image holds over the size <= 4 classes but fails on the
+    # first projection of n3-0 x n3-5, a 9-element source no sweep reaches
+    data = Path(__file__).parent / "data"
+    alg, alg5, prod, proj = (str(data / name) for name in (
+        "n3-0.alg", "n3-5.alg", "n3-0xn3-5.alg", "n3-0xn3-5-to-n3-0.map"))
+
+    def text(path):
+        return Path(path).read_text(encoding="utf-8")
+
+    # each file is the output of the command that made it
+    blocks = run(capsys, "enumerate", "3", "--iso")[1].split("\n\n")
+    assert (text(alg), text(alg5)) == (blocks[0] + "\n", blocks[5] + "\n")
+    made = tmp_path / "product.alg"
+    assert run(capsys, "product", alg, alg5, "-o", str(made))[0] == 0
+    assert text(prod) == text(made)
+    product, first = load_algebra(prod), load_algebra(alg)
+    projection = Mapping(product, first, [x for x in range(3) for _ in range(3)],
+                         name="n3-0xn3-5-to-n3-0")
+    assert text(proj) == serialize_map(projection)
+    for path in (alg, alg5, prod):
+        assert run(capsys, "validate", path)[0] == 0
+    rc, out, _ = run(capsys, "--format", "machine", "classify", proj, prod, alg)
+    assert (rc, out.splitlines()[-1]) == (0, "CLASS hom=yes omap=yes ohom=yes")
+    assert projection.is_surjective() and projection.preserves_unit()
+    # F = {(e,e),(a,a)} is a filter whose image {e,a} is none
+    assert run(capsys, "--format", "machine", "substructure", prod,
+               "--set", "(e,e),(a,a)", "--kind", "filter")[:2] == (0, "LAW filter HOLDS\n")
+    assert run(capsys, "--format", "machine", "substructure", alg,
+               "--set", "e,a", "--kind", "filter")[:2] == (1, "LAW filter FAIL (a,b)\n")
+    facts = harness._MapFacts(projection, kernel(projection).mask,
+                              Atlas.of(product), Atlas.of(first))
+    checked, skipped, found = harness._check(["T-filter-image"], [facts])["T-filter-image"]
+    assert (checked, skipped, len(found)) == (52, 460, 4)
+    assert found[0] == harness.Counterexample(
+        ("X=n3-0xn3-5", "Y=n3-0", "map=n3-0xn3-5-to-n3-0", "F={(e,e),(a,a)}",
+         "result={e,a}"), (1, 2))
 
 
 def _substructure_transcript(capsys) -> str:
@@ -280,6 +357,16 @@ def test_verify_jobs_below_one_is_a_usage_error(capsys, jobs):
     assert rc == 2
     assert out == ""
     assert "--jobs must be at least 1" in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_beyond_the_largest_carrier_starts_no_worker(monkeypatch, capsys, jobs):
+    def no_process(*args, **kwargs):
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(multiprocessing, "Process", no_process)
+    rc, out, err = run(capsys, "verify", "all", "--size", "5", "--jobs", jobs)
+    assert (rc, out, err) == (2, "", "error: carrier size 5 beyond the supported maximum 4\n")
 
 
 @pytest.mark.parametrize("argv, message", [

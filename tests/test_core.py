@@ -30,7 +30,7 @@ from obci import (
     reflexive_transitive_closure,
     relation_reports,
     validate,
-    verify_claim,
+    verify_all,
 )
 from obci.core import AXIOMS
 from obci import fixtures as fx
@@ -377,9 +377,9 @@ _RECORDS = {
     "Mapping": lambda: _fresh_map("mid3-swap"),
     "MorphismClass": lambda: classify(_fresh_map("mid3-swap")),
     "ProductAlgebra": lambda: ProductAlgebra.of(_fresh_exy(), ea),
-    "Counterexample": lambda: verify_claim("T-ordfilter-bijection",
-                                           sizes=(1, 2)).counterexamples[0],
-    "SweepReport": lambda: verify_claim("T-ordfilter-bijection", sizes=(1, 2)),
+    "Counterexample": lambda: verify_all(("T-ordfilter-bijection",),
+                                         sizes=(1, 2))[0].counterexamples[0],
+    "SweepReport": lambda: verify_all(("T-ordfilter-bijection",), sizes=(1, 2))[0],
     "StatedClaim": lambda: fx.StatedClaim("exy", "kernel", frozenset({"e"})),
     "Finding": lambda: fx.audit()[0],
 }

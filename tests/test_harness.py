@@ -1,6 +1,8 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,6 @@ from obci import (
     kernel,
     validate,
     verify_all,
-    verify_claim,
 )
 from obci import fixtures, harness, morphisms, scan
 from obci.core import BudgetError, RawStructure, check_derived_identities
@@ -74,7 +75,7 @@ def test_claim_registry_is_complete():
     assert len(CLAIM_IDS) == 24
     assert len(set(CLAIM_IDS)) == 24
     with pytest.raises(ValueError):
-        verify_claim("T-nonsense", sizes=(1,))
+        verify_all(("T-nonsense",), sizes=(1,))
 
 
 def test_all_claims_verified_at_size_two_except_ordered_bijection():
@@ -86,7 +87,7 @@ def test_all_claims_verified_at_size_two_except_ordered_bijection():
 
 
 def test_bijection_claims_have_genuine_counterexamples_at_size_three():
-    r = verify_claim("T-filter-bijection", sizes=(3,))
+    r = verify_all(("T-filter-bijection",), sizes=(3,))[0]
     assert not r.verified
     # independent re-derivation on the first flagged instance: the
     # identity on the chain b <= e <= a, whose cone is {e, a}
@@ -104,7 +105,7 @@ def test_bijection_claims_have_genuine_counterexamples_at_size_three():
 
 
 def test_ordered_bijection_fails_already_at_size_two():
-    r = verify_claim("T-ordfilter-bijection", sizes=(1, 2))
+    r = verify_all(("T-ordfilter-bijection",), sizes=(1, 2))[0]
     assert not r.verified
     contexts = {ce.context[:3] for ce in r.counterexamples}
     # collapsing the 2-chain onto the point leaves the source family empty
@@ -112,8 +113,8 @@ def test_ordered_bijection_fails_already_at_size_two():
 
 
 def test_sweep_reports_are_deterministic():
-    a = verify_claim("T-kernel-filter", sizes=(1, 2))
-    b = verify_claim("T-kernel-filter", sizes=(1, 2))
+    a = verify_all(("T-kernel-filter",), sizes=(1, 2))[0]
+    b = verify_all(("T-kernel-filter",), sizes=(1, 2))[0]
     assert a == b
     assert a.verified
     assert a.instances_checked > 0
@@ -122,12 +123,12 @@ def test_sweep_reports_are_deterministic():
 def test_bijection_claim_on_the_bundled_fixture():
     # exy-to-ea and exy-id run; maps touching mid3/diamond/chain4 are
     # hypothesis-skipped
-    r = verify_claim("T-filter-bijection", fixtures=True)
+    r = verify_all(("T-filter-bijection",), fixtures=True)[0]
     assert (r.instances_checked, r.hypothesis_skipped, r.verified) == (2, 3, True)
     # the ordered variant fails even here: for exy-to-ea the source family
     # needs F over ker = {e,x} and inside the cone = {e}, so it is empty
     # while the target family has two members
-    r = verify_claim("T-ordfilter-bijection", fixtures=True)
+    r = verify_all(("T-ordfilter-bijection",), fixtures=True)[0]
     assert len(r.counterexamples) == 7
     exy_to_ea = [ce.context[3:] for ce in r.counterexamples
                  if ce.context[2] == "map=exy-to-ea"]
@@ -136,19 +137,26 @@ def test_bijection_claim_on_the_bundled_fixture():
                          ("law=preimage-in-family", "G={e,a}")]
 
 
-def test_fixtures_is_a_flag():
+def _no_process(*args, **kwargs):
+    raise AssertionError("a worker process was started")
+
+
+def test_fixtures_is_a_flag(monkeypatch):
     default = verify_all(("T-kernel-filter", "P-kernel-alt"))
     assert verify_all(("T-kernel-filter", "P-kernel-alt"), fixtures=False) == default
     assert verify_all(("T-kernel-filter", "P-kernel-alt"), fixtures=None) == default
+    # a bad scope is refused in the caller's process, before any worker starts
+    monkeypatch.setattr(multiprocessing, "Process", _no_process)
     for bad in (("exy", "ea", "exy-to-ea"), "exy", ["exy"], 1):
-        with pytest.raises(TypeError):
-            verify_claim("T-kernel-filter", fixtures=bad)
+        for jobs in (1, 2):
+            with pytest.raises(TypeError):
+                verify_all(("T-kernel-filter",), fixtures=bad, jobs=jobs)
         with pytest.raises(TypeError):
             find_counterexample("omap-not-hom", fixtures=bad)
 
 
 def test_fixture_scope_skips_unvalidated_endpoints():
-    r = verify_claim("T-kernel-filter", fixtures=True)
+    r = verify_all(("T-kernel-filter",), fixtures=True)[0]
     # exy-to-ea and exy-id run; maps touching mid3/diamond/chain4 are
     # hypothesis-skipped
     assert r.instances_checked == 2
@@ -216,7 +224,7 @@ def test_fused_product_pass_matches_per_claim_runs(scope):
         return  # each per-claim run below repeats the 19,044-pair pass
     fused = verify_all(_MIXED_CLAIMS, **scope)
     assert fused == [next(r for r in serial if r.claim == c) for c in _MIXED_CLAIMS]
-    assert fused == [verify_claim(c, **scope) for c in _MIXED_CLAIMS]
+    assert fused == [verify_all((c,), **scope)[0] for c in _MIXED_CLAIMS]
     assert verify_all(("T-ksets",), **scope) == fused[:1]
     for jobs in (2, 3):
         assert verify_all(_MIXED_CLAIMS, jobs=jobs, **scope) == fused
@@ -279,13 +287,51 @@ def test_worker_failure_raises_in_parent(monkeypatch, check, error):
         verify_all(_MIXED_CLAIMS, sizes=(1, 2), jobs=2)
 
 
+@_FORK_ONLY
+def test_a_sweep_builds_its_pool_once_before_its_workers_start(monkeypatch):
+    serial = verify_all(CLAIM_IDS, sizes=(1, 2))
+    parent, calls, build = os.getpid(), [], harness._pool_for
+
+    def counted(*args, **kwargs):
+        if os.getpid() != parent:
+            raise AssertionError("a worker built a pool")
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_pool_for", counted)
+    for jobs in (1, 2, 3):
+        calls.clear()
+        assert verify_all(CLAIM_IDS, sizes=(1, 2), jobs=jobs) == serial
+        assert len(calls) == 1, jobs
+
+
+# Under spawn and forkserver the pool reaches each worker pickled.  `-c`,
+# not stdin: spawn imports the main module again by its path.
+_SWEEP_UNDER = """
+import multiprocessing, sys
+multiprocessing.set_start_method(sys.argv[1])
+from obci import verify_all
+for scope in ({"sizes": (1, 2)}, {"fixtures": True}):
+    assert verify_all(jobs=2, **scope) == verify_all(**scope), scope
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_parallel_verify_matches_serial_under_other_start_methods(method):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", _SWEEP_UNDER, method], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 @pytest.mark.parametrize("jobs", [0, -1])
 def test_jobs_below_one_is_rejected(monkeypatch, jobs):
-    def no_process(*args, **kwargs):
-        raise AssertionError("a worker process was started")
-
-    monkeypatch.setattr(multiprocessing, "Process", no_process)
-    monkeypatch.setattr(harness, "_pool_for", no_process)
+    monkeypatch.setattr(multiprocessing, "Process", _no_process)
+    monkeypatch.setattr(harness, "_pool_for", _no_process)
     with pytest.raises(ValueError, match="jobs"):
         verify_all(("P-identities",), sizes=(1,), jobs=jobs)
 
@@ -393,9 +439,9 @@ def _fails_on_unit_and_one_more(f):
 @pytest.mark.parametrize("parts", [1, 2, 3])
 def test_map_pass_names_the_maps_of_failing_keys_in_map_order(monkeypatch, parts):
     _patch_conclusion(monkeypatch, "P-kernel-alt", _fails_on_unit_and_one_more)
-    maps = _every_map(harness._pool_for(sizes=(1, 2, 3), up_to_iso=True))
-    reports = [harness._run_part(("P-kernel-alt",), ((1, 2, 3), None, True), k, parts)[0]
-               for k in range(parts)]
+    pool = harness._pool_for(sizes=(1, 2, 3), up_to_iso=True)
+    maps = _every_map(pool)
+    reports = [harness._run_part(("P-kernel-alt",), pool, k, parts)[0] for k in range(parts)]
     # part 0 runs the map pass whole
     found = [(r.instances_checked, r.hypothesis_skipped, list(r.counterexamples))
              for r in reports]
@@ -709,8 +755,8 @@ def test_maps_the_ohom_pass_never_sees_are_skipped_once(parts):
     # P-monotone and T-kernel-filter hold on every O-hom and skip none of
     # them, so every skip is a map that is no O-hom, counted in part 0
     claims = ("P-monotone", "T-kernel-filter")
-    scope = ((1, 2, 3, 4), None, True)  # (sizes, fixtures, up_to_iso)
-    reports = [harness._run_part(claims, scope, k, parts) for k in range(parts)]
+    pool = harness._pool_for(sizes=(1, 2, 3, 4), up_to_iso=True)
+    reports = [harness._run_part(claims, pool, k, parts) for k in range(parts)]
     for _, *per_part in zip(claims, *reports):
         assert sum(r.instances_checked for r in per_part) == 4605
         assert [r.hypothesis_skipped for r in per_part] == [310994 - 4605] + [0] * (parts - 1)
@@ -729,7 +775,7 @@ def test_a_part_runs_each_scope_pass_once(monkeypatch, k):
 
     monkeypatch.setattr(harness, "_check", counted(check))
     monkeypatch.setattr(harness, "_check_maps", counted(check_maps))
-    reports = harness._run_part(CLAIM_IDS, ((1, 2), None, False), k, 3)
+    reports = harness._run_part(CLAIM_IDS, harness._pool_for(sizes=(1, 2)), k, 3)
     assert [r.claim for r in reports] == list(CLAIM_IDS)
     # one pass per scope, in the order the scopes first occur among the
     # claims; part 0 runs the map pass whole, the others check no map
