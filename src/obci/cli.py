@@ -259,9 +259,19 @@ def _cmd_enumerate(args, out: _Out) -> int:
     return 0
 
 
+# The largest carrier size `verify` and `search` sweep without --size.
+_DEFAULT_SIZE = {"verify": 3, "search": 2}
+
+
 def _scope(args) -> dict:
-    """The sweep scope of `verify` and `search`: the fixtures, or sizes 1 to --size."""
-    return {"fixtures": True} if args.fixtures else {"sizes": tuple(range(1, args.size + 1))}
+    """The sweep scope of `verify` and `search`: the fixtures, or sizes 1 to
+    --size; both at once is a usage error, whatever the size given."""
+    if not args.fixtures:
+        size = _DEFAULT_SIZE[args.command] if args.size is None else args.size
+        return {"sizes": tuple(range(1, size + 1))}
+    if args.size is not None:
+        raise ParseError("--size and --fixtures exclude each other", args.command)
+    return {"fixtures": True}
 
 
 def _cmd_verify(args, out: _Out) -> int:
@@ -296,8 +306,9 @@ def _cmd_verify(args, out: _Out) -> int:
 
 
 def _cmd_search(args, out: _Out) -> int:
+    scope = _scope(args)
     try:
-        found = harness.find_counterexample(args.query, **_scope(args))
+        found = harness.find_counterexample(args.query, **scope)
     except ValueError as exc:
         raise ParseError(str(exc), "search") from exc
     if found is None:
@@ -402,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="machine-check claims over a scope")
     p.add_argument("claim", help="a claim id or 'all'")
-    p.add_argument("--size", type=int, default=3, metavar="N",
+    p.add_argument("--size", type=int, metavar="N",
                    help="sweep carrier sizes 1..N (default 3)")
     p.add_argument("--fixtures", action="store_true",
                    help="sweep the bundled fixtures instead")
@@ -412,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="hunt for a separating example")
     p.add_argument("query", help="hom-not-omap, omap-not-hom, or a claim id")
-    p.add_argument("--size", type=int, default=2, metavar="N")
+    p.add_argument("--size", type=int, metavar="N")
     p.add_argument("--fixtures", action="store_true")
     p.set_defaults(func=_cmd_search)
 

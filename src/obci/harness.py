@@ -34,16 +34,16 @@ morphism laws are decided cell by cell and the pair kernel is read
 (`morphisms.decide_laws`); the pair map itself is built only to name a
 witness.  Both O-hom passes read one list, `_Pool.ohoms`: the
 homomorphisms the backtracking search `morphisms.enumerate_homs` finds
-without building the other maps, each classified and its kernel taken
-once.  Every claim of the O-hom pass asks for an O-homomorphism, so each
-other map is one skip for it, counted by arithmetic: the number of maps
-less the number of O-homs.  With `jobs=J` the sweep is cut into J fixed
-parts of one pool, built before the workers start, each part run by a
-worker process of its own: part k takes the contiguous slice k of the
-algebras, of the O-homs and of the pairs' first factors; part 0 also
-runs the map pass whole and counts the skipped maps; and the parent adds
-each claim's partial reports up in k order, so counterexamples stay in
-pass order.
+without building the other maps, each classified once and its kernel
+held as one mask.  Every claim of the O-hom pass asks for an
+O-homomorphism, so each other map is one skip for it, counted by
+arithmetic: the number of maps less the number of O-homs.  With `jobs=J`
+the sweep is cut into J fixed parts of one pool, built before the
+workers start, each part run by a worker process of its own: part k
+takes the contiguous slice k of the algebras, of the O-homs and of the
+pairs' first factors; part 0 also runs the map pass whole and counts the
+skipped maps; and the parent adds each claim's partial reports up in k
+order, so counterexamples stay in pass order.
 
 The map pass and the pair pass memoize on a signature, the part of an
 instance that fixes the verdict of every claim of the scope.  A map's is
@@ -250,10 +250,10 @@ class _Pool:
 
     @cached_property
     def ohoms(self) -> list[tuple]:
-        """(i, j, map, kernel) for every O-homomorphism between pool
+        """(i, j, map, kernel mask) for every O-homomorphism between pool
         algebras, in map order: each map of `homs` with both endpoints in
         the pool that `classify` calls an O-hom, classified once."""
-        return [(i, j, m, kernel(m)) for i, j, m in self.homs()
+        return [(i, j, m, kernel(m).mask) for i, j, m in self.homs()
                 if i is not None and j is not None and classify(m).is_ohom]
 
 
@@ -267,13 +267,13 @@ def _part_of(items, part):
 def _pool_for(sizes=None, fixtures=False, *, up_to_iso=False) -> _Pool:
     """The pool of a scope: every bundled fixture algebra that validates and
     every fixture map when `fixtures` is True, else the algebras of `sizes`
-    (1 to 3 by default); None reads as False."""
+    (1 to 3 by default)."""
     if fixtures is True:
         algebras = [v for v in map(fixture_lib.validated, fixture_lib.ALGEBRAS)
                     if v is not None]
         return _Pool(algebras, fixture_maps=list(fixture_lib.MAPS.values()))
-    if fixtures is not False and fixtures is not None:
-        raise TypeError(f"fixtures is a flag (True, False or None), got {fixtures!r}")
+    if fixtures is not False:
+        raise TypeError(f"fixtures is a flag (True or False), got {fixtures!r}")
     if sizes is None:
         sizes = (1, 2, 3)
     algebras = []
@@ -363,24 +363,22 @@ class _OhomPair(NamedTuple):
     The pair map f1 x f2 is held as its byte `table` over the two products;
     `ohom` is its verdict under both morphism laws and `kernels` is (s1,
     s2, ker f1, ker f2, ker(f1 x f2)): the pool positions of the two
-    sources and the three kernels as masks.  `decide_laws` gives `ohom`
-    and the pair kernel on `table` itself, so `T-product-kernel` is never
-    decided from k1 x k2.  The pair map and its kernel as objects, `pm`
-    and `k`, are built only when a claim reads them.
+    sources and the three kernels, each held as a mask only, the first two
+    as `_Pool.ohoms` holds them.  `decide_laws` gives `ohom` and the pair
+    kernel on `table` itself, so `T-product-kernel` is never decided from
+    ker f1 x ker f2.  The pair map and its kernel as objects, `pm` and
+    `k`, are built only when a claim reads them.
 
     `signature`, (ohom, kernels), fixes the verdict of every PAIR claim,
     and the pair pass memoizes on it: `ohom` is the verdict of
     `T-pairmap-ohom`, and the kernel claims read nothing else, since the
     source product is fixed by (s1, s2), the three kernel subsets by their
     masks over it and its factors, and `k_upper_sets` reads ker f1 and
-    ker f2 again off the maps' tables, equal to these masks because k1 and
-    k2 are the kernels of f1 and f2.
+    ker f2 again off the maps' tables, equal to these masks.
     """
 
     f1: Mapping
     f2: Mapping
-    k1: Subset  # ker(f1)
-    k2: Subset  # ker(f2)
     source: ProductAlgebra
     target: ProductAlgebra
     table: bytes
@@ -439,8 +437,7 @@ def _ohom_pairs(pool: _Pool, part):
             src, dst = product_of(s1, s2), product_of(t1, t2)
             table = pair_table(f1, rows)
             ker, ohom = decide_laws(src.combined, dst.combined, table)
-            yield _OhomPair(f1, f2, k1, k2, src, dst, table, ohom,
-                            (s1, s2, k1.mask, k2.mask, ker))
+            yield _OhomPair(f1, f2, src, dst, table, ohom, (s1, s2, k1, k2, ker))
 
 
 # --- hypotheses ----------------------------------------------------------------
@@ -595,10 +592,11 @@ def _pairmap_ohom(p: _OhomPair):
 
 
 def _product_kernel(p: _OhomPair):
-    rhs = rectangle_mask(p.k1.mask, p.k2.mask, p.f2.source.n)
-    if p.k.mask == rhs:
+    _, _, k1, k2, k = p.kernels
+    rhs = rectangle_mask(k1, k2, p.f2.source.n)
+    if k == rhs:
         return ()
-    return [((), Subset(p.k.universe, p.k.mask ^ rhs).members())]
+    return [((), Subset(p.source.combined, k ^ rhs).members())]
 
 
 def _product_kernel_projection(p: _OhomPair):
@@ -606,18 +604,20 @@ def _product_kernel_projection(p: _OhomPair):
         left, right = projection_kernels(p.source, p.k)
     except ShapeError:
         return [((), ("non-rectangular",))]
-    if len(p.k) and (left.mask != p.k1.mask or right.mask != p.k2.mask):
+    if len(p.k) and (left.mask, right.mask) != p.kernels[2:4]:
         return [((), (left.member_labels(), right.member_labels()))]
     return ()
 
 
 def _ksets(p: _OhomPair):
-    first, second, equal = k_upper_sets(p.k1, p.k2, p.f1, p.f2, source=p.source)
+    _, _, k1, k2, k = p.kernels
+    first, second, equal = k_upper_sets(Subset(p.f1.source, k1), Subset(p.f2.source, k2),
+                                        p.f1, p.f2, source=p.source)
     unit_pair = p.source.pair_index(p.f1.source.unit, p.f2.source.unit)
     problems = []
     if not equal:
         problems.append(((), ("sides-differ",)))
-    if first.mask != p.k.mask:
+    if first.mask != k:
         problems.append(((), ("differs-from-pair-kernel",)))
     if unit_pair not in first:
         problems.append(((), ("unit-missing",)))
@@ -842,7 +842,7 @@ def _run_pass(pool: _Pool, scope: str, claims, part):
         instances = (_AlgebraFacts(pool.algebras[i], pool.atlas[i])
                      for i in _part_of(range(len(pool.algebras)), part))
     elif scope == OHOM:
-        instances = (_MapFacts(m, ker.mask, pool.atlas[i], pool.atlas[j])
+        instances = (_MapFacts(m, ker, pool.atlas[i], pool.atlas[j])
                      for i, j, m, ker in _part_of(pool.ohoms, part))
         if first:
             unseen = sum(count for _, _, count, _ in pool.map_blocks()) - len(pool.ohoms)

@@ -40,7 +40,11 @@ class ProductAlgebra(NamedTuple):
 
     @classmethod
     def of(cls, left: RawStructure, right: RawStructure) -> "ProductAlgebra":
-        """The product of two structures; the one place one is built."""
+        """The product of two structures; the one place one is built.  A
+        carrier above DEFAULT_PRODUCT_BUDGET raises BudgetError."""
+        if left.n * right.n > DEFAULT_PRODUCT_BUDGET:
+            raise BudgetError(f"product carrier size {left.n * right.n} exceeds the "
+                              f"budget of {DEFAULT_PRODUCT_BUDGET}")
         return cls(left, right, product_structure(left, right))
 
     def pair_index(self, x1: int, x2: int) -> int:
@@ -79,11 +83,6 @@ def direct_product(x1: RawStructure, x2: RawStructure, *, witness_cap: int | Non
     The report's witnesses are tagged with the failing axiom id; each
     axiom lists at most `witness_cap` of them (every one for None).
     """
-    if x1.n * x2.n > DEFAULT_PRODUCT_BUDGET:
-        raise BudgetError(
-            f"product carrier size {x1.n * x2.n} exceeds the budget of "
-            f"{DEFAULT_PRODUCT_BUDGET}"
-        )
     product = ProductAlgebra.of(x1, x2)
     report = CheckReport.merged("direct-product-obci",
                                 axiom_reports(product.combined, witness_cap=witness_cap))

@@ -1,5 +1,8 @@
 """Subset predicates: subalgebras, filters, ordered variants, closedness.
 
+Two laws, `_closure` and `_detachment`, decide the four kinds: the plain
+kind reads the set where the ordered kind reads the positive cone.
+
 All predicates accept a RawStructure so that deliberately inconsistent
 fixtures can be probed; "unit <= w" is always the stored relation's unit
 row.  Witness conventions: closure failures are (x, y) pairs, cone-
@@ -11,6 +14,7 @@ closed kind's precondition fails.
 
 from __future__ import annotations
 
+import itertools
 from enum import Enum
 from functools import partial
 from typing import NamedTuple
@@ -45,58 +49,46 @@ def _check_universe(a: RawStructure, s: Subset) -> None:
         )
 
 
+def _closure(a: RawStructure, s: Subset, ordered: bool):
+    """(x, y) for members x, y of s (in the cone if `ordered`), x->y not in s."""
+    _check_universe(a, s)
+    op, cone = a.op, a.order[a.unit]
+    ms = [x for x in s.members() if cone[x]] if ordered else s.members()
+    return ((x, y) for x in ms for y in ms if op[x][y] not in s)
+
+
+def _detachment(a: RawStructure, s: Subset, ordered: bool):
+    """The missing-unit marker, then (x, y) for x in s, y not in s, x->y in s
+    (in the cone if `ordered`)."""
+    _check_universe(a, s)
+    op, cone = a.op, a.order[a.unit]
+    detached = ((x, y) for x in s.members() for y in range(a.n)
+                if y not in s and (cone[op[x][y]] if ordered else op[x][y] in s))
+    return detached if a.unit in s else itertools.chain([(MISSING_UNIT,)], detached)
+
+
 def is_subalgebra(a: RawStructure, s: Subset, *,
                   witness_cap: int | None = None) -> CheckReport:
     """Closure under the operation: x, y in s implies x->y in s."""
-    _check_universe(a, s)
-    op = a.op
-    ms = s.members()
-    viol = ((x, y) for x in ms for y in ms if op[x][y] not in s)
-    return CheckReport.collect("subalgebra", viol, witness_cap)
+    return CheckReport.collect("subalgebra", _closure(a, s, False), witness_cap)
 
 
 def is_ordered_subalgebra(a: RawStructure, s: Subset, *,
                           witness_cap: int | None = None) -> CheckReport:
     """Closure under the operation for cone members of s only."""
-    _check_universe(a, s)
-    op = a.op
-    cone = a.order[a.unit]
-    ms = s.members()
-    viol = ((x, y) for x in ms for y in ms
-            if cone[x] and cone[y] and op[x][y] not in s)
-    return CheckReport.collect("ordered-subalgebra", viol, witness_cap)
-
-
-def _filter_violations(a: RawStructure, s: Subset, ordered: bool):
-    if a.unit not in s:
-        yield (MISSING_UNIT,)
-    op = a.op
-    cone = a.order[a.unit]
-    n = a.n
-    for x in s.members():
-        for y in range(n):
-            if y in s:
-                continue
-            if ordered:
-                if cone[op[x][y]]:
-                    yield (x, y)
-            else:
-                if op[x][y] in s:
-                    yield (x, y)
+    return CheckReport.collect("ordered-subalgebra", _closure(a, s, True), witness_cap)
 
 
 def is_filter(a: RawStructure, s: Subset, *,
               witness_cap: int | None = None) -> CheckReport:
     """Contains the unit and is closed under detachment (x->y, x |- y)."""
-    _check_universe(a, s)
-    return CheckReport.collect("filter", _filter_violations(a, s, ordered=False), witness_cap)
+    return CheckReport.collect("filter", _detachment(a, s, False), witness_cap)
 
 
 def is_ordered_filter(a: RawStructure, s: Subset, *,
                       witness_cap: int | None = None) -> CheckReport:
     """Contains the unit and is closed under order detachment."""
-    _check_universe(a, s)
-    return CheckReport.collect("ordered-filter", _filter_violations(a, s, ordered=True), witness_cap)
+    return CheckReport.collect("ordered-filter", _detachment(a, s, True), witness_cap)
 
 
 def satisfies_cone_condition(a: RawStructure, s: Subset) -> CheckReport:
@@ -107,6 +99,14 @@ def satisfies_cone_condition(a: RawStructure, s: Subset) -> CheckReport:
     return CheckReport.collect("cone-condition", viol)
 
 
+# kind -> (its filter check, the closure check, the law, the precondition's noun)
+_CLOSED = {
+    SubstructureKind.FILTER: (is_filter, is_subalgebra, "closed-filter", "a filter"),
+    SubstructureKind.ORDERED_FILTER: (is_ordered_filter, is_ordered_subalgebra,
+                                      "closed-ordered-filter", "an ordered filter"),
+}
+
+
 def is_closed(a: RawStructure, s: Subset, kind: SubstructureKind, *,
               witness_cap: int | None = None) -> CheckReport:
     """Closedness of a filter (= also a subalgebra) or an ordered filter
@@ -114,18 +114,13 @@ def is_closed(a: RawStructure, s: Subset, kind: SubstructureKind, *,
 
     Raises PreconditionError when s is not a filter of the requested kind.
     """
-    if kind is SubstructureKind.FILTER:
-        pre = is_filter(a, s, witness_cap=witness_cap)
-        if not pre.holds:
-            raise PreconditionError(f"{s.member_labels()} is not a filter of {a.name!r}", pre)
-        return is_subalgebra(a, s, witness_cap=witness_cap)._replace(law="closed-filter")
-    if kind is SubstructureKind.ORDERED_FILTER:
-        pre = is_ordered_filter(a, s, witness_cap=witness_cap)
-        if not pre.holds:
-            raise PreconditionError(f"{s.member_labels()} is not an ordered filter of {a.name!r}", pre)
-        return is_ordered_subalgebra(a, s, witness_cap=witness_cap)._replace(
-            law="closed-ordered-filter")
-    raise ValueError(f"is_closed expects FILTER or ORDERED_FILTER, got {kind}")
+    if kind not in _CLOSED:
+        raise ValueError(f"is_closed expects FILTER or ORDERED_FILTER, got {kind}")
+    is_kind, closure, law, noun = _CLOSED[kind]
+    pre = is_kind(a, s, witness_cap=witness_cap)
+    if not pre.holds:
+        raise PreconditionError(f"{s.member_labels()} is not {noun} of {a.name!r}", pre)
+    return closure(a, s, witness_cap=witness_cap)._replace(law=law)
 
 
 CHECKS = {

@@ -384,6 +384,31 @@ def test_out_of_range_numbers_are_usage_errors(capsys, argv, message):
     assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "all", "--size", "2", "--fixtures"),
+    # an explicit --size equal to the default is refused too
+    ("verify", "all", "--size", "3", "--fixtures"),
+    ("verify", "all", "--fixtures", "--size", "3"),
+    ("search", "hom-not-omap", "--fixtures", "--size", "2"),
+])
+def test_size_beside_fixtures_is_a_usage_error(capsys, argv):
+    rc, out, err = run(capsys, "--format", "machine", *argv)
+    assert (rc, out, err) == (
+        2, "", f"error: {argv[0]}: --size and --fixtures exclude each other\n")
+
+
+def test_pair_map_refuses_products_beyond_the_budget(tmp_path, capsys):
+    # the identity of a 9-element product, paired with itself: 81 elements
+    alg = str(Path(__file__).parent / "data" / "n3-0xn3-5.alg")
+    source = load_algebra(alg)
+    ident = tmp_path / "id.map"
+    ident.write_text(serialize_map(Mapping(source, source, range(source.n), "id")),
+                     encoding="utf-8")
+    rc, out, err = run(capsys, "pair-map", str(ident), str(ident), alg, alg, alg, alg)
+    assert (rc, out, err) == (
+        2, "", "error: product carrier size 81 exceeds the budget of 64\n")
+
+
 # The first witness of each morphism law, by command.
 _FIRST_WITNESSES = {"classify": ("(1,1)", "(1,1/2)"),
                     "pair-map": ("((1,e),(1,e))", "((1,e),(1/2,e))")}

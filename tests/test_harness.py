@@ -144,10 +144,9 @@ def _no_process(*args, **kwargs):
 def test_fixtures_is_a_flag(monkeypatch):
     default = verify_all(("T-kernel-filter", "P-kernel-alt"))
     assert verify_all(("T-kernel-filter", "P-kernel-alt"), fixtures=False) == default
-    assert verify_all(("T-kernel-filter", "P-kernel-alt"), fixtures=None) == default
     # a bad scope is refused in the caller's process, before any worker starts
     monkeypatch.setattr(multiprocessing, "Process", _no_process)
-    for bad in (("exy", "ea", "exy-to-ea"), "exy", ["exy"], 1):
+    for bad in (("exy", "ea", "exy-to-ea"), "exy", ["exy"], 1, None):
         for jobs in (1, 2):
             with pytest.raises(TypeError):
                 verify_all(("T-kernel-filter",), fixtures=bad, jobs=jobs)
@@ -382,13 +381,14 @@ def _grouped(instances, key, facts):
 
 def _pair_facts(p):
     """Everything the kernel claims read of a pair, through the same layers."""
-    first, second, equal = harness.k_upper_sets(p.k1, p.k2, p.f1, p.f2, source=p.source)
+    k1, k2 = Subset(p.f1.source, p.kernels[2]), Subset(p.f2.source, p.kernels[3])
+    first, second, equal = harness.k_upper_sets(k1, k2, p.f1, p.f2, source=p.source)
     try:
         left, right = harness.projection_kernels(p.source, p.k)
         projected = (left.mask, right.mask, left.member_labels(), right.member_labels())
     except harness.ShapeError:
         projected = None
-    return (p.source, p.k.universe, p.k.mask, p.k1.mask, p.k2.mask, first.mask,
+    return (p.source, p.k.universe, p.k.mask, k1.mask, k2.mask, first.mask,
             second.mask, equal, projected, p.f1.source.unit, p.f2.source.n)
 
 
@@ -706,8 +706,7 @@ def test_ksets_names_sides_that_differ_and_a_missing_unit():
     real = next(harness._ohom_pairs(pool, (0, 1)))
     # K1 = {} is no kernel, so K1 x ker f2 misses the unit pair and the
     # second side's ker f1 x K2
-    fake = real._replace(k1=Subset(real.f1.source, 0),
-                         kernels=(*real.kernels[:2], 0, *real.kernels[3:]))
+    fake = real._replace(kernels=(*real.kernels[:2], 0, *real.kernels[3:]))
     assert harness._check(["T-ksets"], [real, fake])["T-ksets"] == (2, 0, [
         harness.Counterexample(fake.context, (w,))
         for w in ("sides-differ", "differs-from-pair-kernel", "unit-missing")])
@@ -737,7 +736,7 @@ def test_ohom_pass_sees_exactly_the_ohoms_at_size_four(monkeypatch):
     assert (len(homs), len(ohoms)) == (4606, 4605)
     # the one hom that is no O-map: the identity n4-31 -> n4-30
     assert set(homs) - set(ohoms) == {("n4-31", "n4-30", (0, 1, 2, 3))}
-    assert all(ker.mask == kernel(m).mask for _, _, m, ker in pool.ohoms)
+    assert all(ker == kernel(m).mask for _, _, m, ker in pool.ohoms)
     seen, check = [], harness._check
 
     def recorded(claims, instances, skipped=0):

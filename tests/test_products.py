@@ -82,6 +82,14 @@ def test_product_budget(blank):
     direct_product(blank(8), blank(8), witness_cap=0)
     with pytest.raises(BudgetError, match="size 72 exceeds the budget of 64"):
         direct_product(blank(9), blank(8))
+    # every product is built by ProductAlgebra.of, which holds the guard
+    f1, f2 = identity_map(blank(9)), identity_map(blank(8))
+    for build in (lambda: ProductAlgebra.of(blank(9), blank(8)),
+                  lambda: pair_map(f1, f2),
+                  lambda: k_upper_sets(Subset.empty(f1.source), Subset.empty(f2.source),
+                                       f1, f2)):
+        with pytest.raises(BudgetError, match="size 72 exceeds the budget of 64"):
+            build()
 
 
 def test_pair_map_of_ohoms_is_ohom():
@@ -104,12 +112,13 @@ def test_pair_map_omap_failure_for_swap_component():
     assert not cls.is_omap
 
 
-def test_pair_map_beyond_a_byte(blank):
-    # 17 x 17 = 289 elements: a Mapping, though no byte table holds it
-    f = identity_map(blank(17))
-    pm = pair_map(f, f)
-    assert pm.table == tuple(range(289))
-    assert classify(pm).is_ohom
+def test_classify_beyond_a_byte(blank):
+    # 17 x 17 = 289 elements, beyond the product budget, so no pair map:
+    # the identity of the product is classified without a byte table
+    product = product_structure(blank(17), blank(17))
+    with pytest.raises(BudgetError):
+        pair_map(identity_map(blank(17)), identity_map(blank(17)))
+    assert classify(identity_map(product)).is_ohom
 
 
 def _pair_kernel(f1, f2):

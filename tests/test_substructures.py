@@ -14,7 +14,7 @@ from obci import (
     is_subalgebra,
     satisfies_cone_condition,
 )
-from obci.core import BudgetError
+from obci.core import BudgetError, CheckReport
 from obci.harness import enumerate_obci
 from obci.substructures import CHECKS, MISSING_UNIT, Atlas
 from obci import fixtures as fx
@@ -181,3 +181,77 @@ def test_enumeration_budget():
 def test_universe_mismatch_rejected():
     with pytest.raises(UniverseMismatchError):
         is_filter(exy, Subset.full(ea))
+
+
+# --- each predicate is its law, stated literally --------------------------
+
+def _literal_violations(kind, a, s):
+    """The violations of a kind's law, stated over the whole carrier in
+    (x, y) order: the closure law reads x->y, the detachment law reads y,
+    and each ordered kind reads the positive cone (e <= w) where the plain
+    one reads the set."""
+    cells = [(x, y) for x in range(a.n) for y in range(a.n)]
+    above = a.order[a.unit]
+    if kind is SubstructureKind.SUBALGEBRA:
+        return [(x, y) for x, y in cells if x in s and y in s and a.op[x][y] not in s]
+    if kind is SubstructureKind.ORDERED_SUBALGEBRA:
+        return [(x, y) for x, y in cells
+                if x in s and y in s and above[x] and above[y] and a.op[x][y] not in s]
+    detaches = above.__getitem__ if kind is SubstructureKind.ORDERED_FILTER else s.__contains__
+    missing = [] if a.unit in s else [(MISSING_UNIT,)]
+    return missing + [(x, y) for x, y in cells
+                      if x in s and detaches(a.op[x][y]) and y not in s]
+
+
+_LAWS = {SubstructureKind.SUBALGEBRA: "subalgebra",
+         SubstructureKind.ORDERED_SUBALGEBRA: "ordered-subalgebra",
+         SubstructureKind.FILTER: "filter", SubstructureKind.ORDERED_FILTER: "ordered-filter"}
+
+# filter kind -> the closure kind `is_closed` asks of it
+_CLOSURE_OF = {SubstructureKind.FILTER: SubstructureKind.SUBALGEBRA,
+               SubstructureKind.ORDERED_FILTER: SubstructureKind.ORDERED_SUBALGEBRA}
+
+
+def _report(law, violations):
+    return CheckReport(law, not violations, tuple(violations), False)
+
+
+def _every_subset():
+    """Every subset of the labelled algebras of sizes 1-4 and of the
+    fixtures.  Size 4 is where a closure or ordered-closure check first
+    meets a subset whose witness order an (x, y) to (y, x) loop swap
+    changes."""
+    structures = [a.structure for n in (1, 2, 3, 4) for a in enumerate_obci(n)]
+    structures += fx.ALGEBRAS.values()
+    return [(a, Subset(a, mask)) for a in structures for mask in range(1 << a.n)]
+
+
+def test_each_predicate_lists_the_witnesses_of_its_literal_law_in_order():
+    subsets = _every_subset()
+    # the 1, 2, 10 and 167 labelled algebras of sizes 1-4, then exy, ea,
+    # mid3, diamond and chain4
+    assert len(subsets) == 1 * 2 + 2 * 4 + 10 * 8 + 167 * 16 + 8 + 4 + 8 + 16 + 16
+    failing = dict.fromkeys(_LAWS, 0)
+    for a, s in subsets:
+        for kind, law in _LAWS.items():
+            literal = _literal_violations(kind, a, s)
+            assert CHECKS[kind](a, s) == _report(law, literal), (a.name, s.mask, kind)
+            failing[kind] += bool(literal)
+    # every law fails somewhere, so each order is pinned on real witnesses
+    assert all(failing.values()), failing
+
+
+def test_is_closed_is_its_literal_two_step_definition():
+    raised = 0
+    for a, s in _every_subset():
+        for kind, closure_kind in _CLOSURE_OF.items():
+            pre = _report(_LAWS[kind], _literal_violations(kind, a, s))
+            if not pre.holds:
+                with pytest.raises(PreconditionError) as info:
+                    is_closed(a, s, kind)
+                assert info.value.report == pre
+                raised += 1
+                continue
+            closed = _literal_violations(closure_kind, a, s)
+            assert is_closed(a, s, kind) == _report(f"closed-{kind.value}", closed)
+    assert raised
