@@ -450,11 +450,11 @@ def _check_ranges(args) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.exhaustive:
-        args.witness_cap = None
     out = _Out(machine=args.format == "machine")
     try:
         _check_ranges(args)
+        if args.exhaustive:
+            args.witness_cap = None
         return args.func(args, out)
     except (ParseError, StructureError, UniverseMismatchError, BudgetError,
             OSError) as exc:

@@ -204,6 +204,15 @@ class RawStructure(_Value):
         return tuple(z for z in range(self.n) if row[z])
 
 
+def bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of a mask, ascending; the one loop
+    over a mask's members."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Subset(_Value):
     """Subset of one structure's carrier, stored as a bitmask."""
 
@@ -240,13 +249,7 @@ class Subset(_Value):
         return cls(universe, 0)
 
     def members(self) -> tuple[int, ...]:
-        out = []
-        m = self.mask
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return tuple(out)
+        return tuple(bits(self.mask))
 
     def member_labels(self) -> tuple[str, ...]:
         return tuple(self.universe.labels[i] for i in self.members())

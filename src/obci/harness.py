@@ -72,6 +72,7 @@ from .core import (
     ShapeError,
     Subset,
     ValidatedAlgebra,
+    bits,
     certified,
     check_derived_identities,
     order_from_cone,
@@ -129,9 +130,8 @@ class SweepReport(NamedTuple):
 def _algebra_from_scan(n: int, flat_op: tuple[int, ...], cone_mask: int,
                        name: str) -> ValidatedAlgebra:
     op = tuple(tuple(flat_op[i * n:(i + 1) * n]) for i in range(n))
-    cone = (i for i in range(n) if cone_mask >> i & 1)
     return certified(RawStructure(name, _ENUM_LABELS[:n], op, 0,
-                                  order_from_cone(op, 0, cone)))
+                                  order_from_cone(op, 0, bits(cone_mask))))
 
 
 def _canonical_key(n: int, flat_op: tuple[int, ...], cone_mask: int):
@@ -306,7 +306,7 @@ def _witness(kind, atlas: Atlas, universe: RawStructure, mask: int):
     otherwise the first witness of its check."""
     if atlas.bits(kind) >> mask & 1:
         return None
-    return CHECKS[kind](universe, Subset(universe, mask)).witnesses[0]
+    return CHECKS[kind](universe, Subset(universe, mask), witness_cap=1).witnesses[0]
 
 
 # --- instances ---------------------------------------------------------------
@@ -559,9 +559,7 @@ def _bijection(kind, *, in_cone=False):
             fam_x &= f.source.cone
         fam_y = f.target.bits(kind)
         found, images = [], 0
-        for F in range(1 << X.n):
-            if not fam_x >> F & 1:
-                continue
+        for F in bits(fam_x):
             img = image_mask(m, F)
             images |= 1 << img
             labels = Subset(Y, img).member_labels()
@@ -573,9 +571,7 @@ def _bijection(kind, *, in_cone=False):
             found.append((("law=injective",), ()))
         if images != fam_y:
             found.append((("law=surjective",), ()))
-        for G in range(1 << Y.n):
-            if not fam_y >> G & 1:
-                continue
+        for G in bits(fam_y):
             pre = preimage_mask(m, G)
             if not fam_x >> pre & 1 or image_mask(m, pre) != G:
                 found.append((("law=preimage-in-family", _set_ctx("G", Y, G)),
@@ -732,8 +728,7 @@ def _check(claims, instances, skipped=0):
                 count = chosen.bit_count()
                 tally[0] += count
                 tally[1] += (1 << n) - count
-                found = [v for mask in range(1 << n) if chosen >> mask & 1
-                         for v in conclusion(inst, mask)]
+                found = [v for mask in bits(chosen) for v in conclusion(inst, mask)]
             for extra, witness in found:
                 every_held = False
                 tally[2].append(Counterexample(inst.context + extra, witness))
@@ -791,7 +786,7 @@ def _check_maps(claims, pool):
 def _representative(target: RawStructure, image: int) -> Mapping:
     """A map target -> target with the given nonempty image set: its members
     in ascending order, the last repeated."""
-    members = [v for v in range(target.n) if image >> v & 1]
+    members = list(bits(image))
     return Mapping(target, target, members + members[-1:] * (target.n - len(members)))
 
 

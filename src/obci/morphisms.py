@@ -29,6 +29,7 @@ from .core import (
     UniverseMismatchError,
     _set,
     _Value,
+    bits,
 )
 
 DEFAULT_MAP_BUDGET = 10_000_000
@@ -231,9 +232,8 @@ def check_reflection_condition(m: Mapping) -> CheckReport:
 def image_mask(m: Mapping, mask: int) -> int:
     """The image of a set of source elements, both as bitmasks."""
     out = 0
-    for x, v in enumerate(m.table):
-        if mask >> x & 1:
-            out |= 1 << v
+    for x in bits(mask):
+        out |= 1 << m.table[x]
     return out
 
 

@@ -5,9 +5,9 @@ and labels "(l1,l2)".  The product operation acts componentwise, the unit
 is the pair of units, and the product order is the conjunction of the
 component orders.  Construction never requires validity; `direct_product`
 reports whether the result satisfies the axioms, as the definition of a
-direct product algebra demands.  `pair_map` builds the pair map of two
-maps as a Mapping, `pair_table` only its table, as bytes, joined from the
-rows `pair_rows` builds once per second factor.
+direct product algebra demands.  `pair_rows` is the one formula of a
+pair map's table, as byte rows built once per second factor, and
+`pair_table` joins them: `pair_map` wraps that table as a Mapping.
 
 A set over the combined carrier is one bitmask whose row x1 is the slice
 of n2 bits starting at bit x1*n2: a rectangle left x right is the right
@@ -27,6 +27,7 @@ from .core import (
     Subset,
     UniverseMismatchError,
     axiom_reports,
+    bits,
 )
 from .morphisms import Mapping, kernel_mask
 
@@ -94,16 +95,17 @@ def pair_map(f1: Mapping, f2: Mapping) -> Mapping:
     source = ProductAlgebra.of(f1.source, f2.source)
     target = ProductAlgebra.of(f1.target, f2.target)
     name = f"{f1.name or 'f1'}x{f2.name or 'f2'}"
-    rows = _pair_rows(f2, f1.target.n)
     return Mapping(source.combined, target.combined,
-                   [v for v1 in f1.table for v in rows[v1]], name)
+                   pair_table(f1, pair_rows(f2, f1.target.n)), name)
 
 
 def pair_rows(f2: Mapping, n1: int) -> list[bytes]:
-    """Row v1 of the table of every pair map f1 x f2 whose first factor
-    takes values below n1, for each v1 < n1, one byte per entry, so n1
-    times the size of f2's target may not exceed 256."""
-    return [bytes(row) for row in _pair_rows(f2, n1)]
+    """The one formula of a pair map's table: (x1, x2) in row-major order
+    holds f1(x1) * m2 + f2(x2), so row x1 depends on f1(x1) alone.  Row v1
+    for each v1 < n1, one byte per entry, so n1 times the size m2 of f2's
+    target may not exceed 256 (products stop at DEFAULT_PRODUCT_BUDGET)."""
+    m2 = f2.target.n
+    return [bytes([v1 * m2 + v2 for v2 in f2.table]) for v1 in range(n1)]
 
 
 def pair_table(f1: Mapping, rows: list[bytes]) -> bytes:
@@ -112,21 +114,9 @@ def pair_table(f1: Mapping, rows: list[bytes]) -> bytes:
     return b"".join([rows[v1] for v1 in f1.table])
 
 
-def _pair_rows(f2: Mapping, n1: int) -> list[list[int]]:
-    """The one formula of a pair map's table: (x1, x2) in row-major order
-    holds f1(x1) * m2 + f2(x2), so row x1 depends on f1(x1) alone."""
-    m2 = f2.target.n
-    return [[v1 * m2 + v2 for v2 in f2.table] for v1 in range(n1)]
-
-
 def rectangle_mask(left: int, right: int, n2: int) -> int:
     """Mask of left x right over a product whose right factor has size n2."""
-    out = 0
-    while left:
-        low = left & -left
-        out |= right << (low.bit_length() - 1) * n2
-        left ^= low
-    return out
+    return sum(right << x1 * n2 for x1 in bits(left))
 
 
 def projection_kernels(product: ProductAlgebra, k: Subset) -> tuple[Subset, Subset]:

@@ -154,11 +154,15 @@ class Atlas(NamedTuple):
     def of(cls, a: RawStructure) -> "Atlas":
         subsets = [Subset(a, mask) for mask in range(1 << a.n)]
 
-        def decided(predicate) -> int:
-            return sum(1 << s.mask for s in subsets if predicate(a, s).holds)
+        def decided(predicate, **cap) -> int:
+            return sum(1 << s.mask for s in subsets if predicate(a, s, **cap).holds)
 
-        return cls(decided(is_filter), decided(is_ordered_filter), decided(is_subalgebra),
-                   decided(is_ordered_subalgebra), decided(satisfies_cone_condition))
+        # the verdict alone (a cap of 0): a kind check stops at its first violation
+        return cls(decided(is_filter, witness_cap=0),
+                   decided(is_ordered_filter, witness_cap=0),
+                   decided(is_subalgebra, witness_cap=0),
+                   decided(is_ordered_subalgebra, witness_cap=0),
+                   decided(satisfies_cone_condition))
 
     def bits(self, kind: SubstructureKind) -> int:
         """The bitset of a kind that is a single predicate (not a closed kind)."""

@@ -384,6 +384,15 @@ def test_out_of_range_numbers_are_usage_errors(capsys, argv, message):
     assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("flags", [("--witness-cap", "-1", "--exhaustive"),
+                                   ("--exhaustive", "--witness-cap", "-1")])
+def test_negative_witness_cap_beside_exhaustive_is_a_usage_error(capsys, flags):
+    # the range is read before --exhaustive lifts the cap
+    rc, out, err = run(capsys, *flags, "validate", "fixture:exy")
+    assert (rc, out, err) == (
+        2, "", "error: validate: --witness-cap must be at least 0, got -1\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "all", "--size", "2", "--fixtures"),
     # an explicit --size equal to the default is refused too

@@ -3,7 +3,7 @@ import pickle
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from obci import (
     AXIOM_IDS,
@@ -32,7 +32,7 @@ from obci import (
     validate,
     verify_all,
 )
-from obci.core import AXIOMS
+from obci.core import AXIOMS, bits
 from obci import fixtures as fx
 from obci.products import ProductAlgebra
 
@@ -355,6 +355,19 @@ def test_subset_members_and_len_match_the_bits():
         assert tuple(s) == expected
         assert len(s) == len(expected)
         assert Subset.from_indices(nine, expected) == s
+
+
+@given(st.integers(min_value=0, max_value=(1 << 200) - 1))
+def test_bits_are_the_set_positions_in_ascending_order(mask):
+    assert list(bits(mask)) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+# `blank` is a stateless maker, so sharing it across examples is safe
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(min_value=1, max_value=64), st.data())
+def test_subset_members_are_the_naive_scan(blank, n, data):
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    assert Subset(blank(n), mask).members() == tuple(i for i in range(n) if mask >> i & 1)
 
 
 # --- records and values -------------------------------------------------------

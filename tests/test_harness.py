@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -827,9 +828,17 @@ _SIZE_FOUR_ISO = {
 }
 
 
+# SHA-256 of every counterexample of those sweeps, in order: one line
+# repr((claim, context, witness)) each, the bijection claims' 74 and 606.
+_SIZE_FOUR_ISO_DIGEST = "0ffcf10c00770242e62ef648ade50179ab6dff60d1f31be646238b9d4af6392c"
+
+
 @pytest.mark.parametrize("jobs", [1, 3])
 def test_size_four_iso_sweep_counts(jobs):
     claims = [c for c, spec in harness.CLAIMS.items() if spec.scope != "pair"]
     reports = verify_all(claims, sizes=(1, 2, 3, 4), up_to_iso=True, jobs=jobs)
     assert {r.claim: (r.instances_checked, r.hypothesis_skipped,
                       len(r.counterexamples)) for r in reports} == _SIZE_FOUR_ISO
+    lines = b"".join(repr((r.claim, c.context, c.witness)).encode() + b"\n"
+                     for r in reports for c in r.counterexamples)
+    assert hashlib.sha256(lines).hexdigest() == _SIZE_FOUR_ISO_DIGEST

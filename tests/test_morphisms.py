@@ -23,7 +23,13 @@ from obci import (
 )
 from obci import fixtures as fx
 from obci.harness import enumerate_obci
-from obci.morphisms import _closed_kernel_condition, _monotonicity, decide_laws, kernel_mask
+from obci.morphisms import (
+    _closed_kernel_condition,
+    _monotonicity,
+    decide_laws,
+    image_mask,
+    kernel_mask,
+)
 
 exy = fx.ALGEBRAS["exy"]
 ea = fx.ALGEBRAS["ea"]
@@ -332,3 +338,10 @@ def raw_maps(draw):
 @given(raw_maps())
 def test_classify_matches_reference_on_raw_structures(m):
     assert_classify_matches_reference(m)
+
+
+@given(raw_maps(), st.data())
+def test_image_mask_is_the_naive_scan(m, data):
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << m.source.n) - 1))
+    image = {m.table[x] for x in range(m.source.n) if mask >> x & 1}
+    assert image_mask(m, mask) == sum(1 << v for v in image)

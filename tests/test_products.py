@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from obci import (
+    Mapping,
     ShapeError,
     Subset,
     UniverseMismatchError,
@@ -112,6 +114,18 @@ def test_pair_map_omap_failure_for_swap_component():
     assert not cls.is_omap
 
 
+def test_pair_map_at_the_edge_of_the_product_budget(blank):
+    # 8 x 8 = 64 elements on both sides, entries up to 63: the largest
+    # pair map the budget allows still fits its table in bytes
+    a = blank(8)
+    f1 = Mapping(a, a, (7, 6, 5, 4, 3, 2, 1, 0))
+    f2 = Mapping(a, a, tuple((3 * x + 1) % 8 for x in range(8)))
+    pm = pair_map(f1, f2)
+    assert pm.source.n == pm.target.n == 64
+    assert max(pm.table) == 63
+    assert pm.table == tuple(f1(x1) * 8 + f2(x2) for x1 in range(8) for x2 in range(8))
+
+
 def test_classify_beyond_a_byte(blank):
     # 17 x 17 = 289 elements, beyond the product budget, so no pair map:
     # the identity of the product is classified without a byte table
@@ -119,6 +133,16 @@ def test_classify_beyond_a_byte(blank):
     with pytest.raises(BudgetError):
         pair_map(identity_map(blank(17)), identity_map(blank(17)))
     assert classify(identity_map(product)).is_ohom
+
+
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8),
+       st.data())
+def test_rectangle_mask_is_the_naive_scan(n1, n2, data):
+    left = data.draw(st.integers(min_value=0, max_value=(1 << n1) - 1))
+    right = data.draw(st.integers(min_value=0, max_value=(1 << n2) - 1))
+    assert rectangle_mask(left, right, n2) == sum(
+        1 << x1 * n2 + x2 for x1 in range(n1) for x2 in range(n2)
+        if left >> x1 & 1 and right >> x2 & 1)
 
 
 def _pair_kernel(f1, f2):
