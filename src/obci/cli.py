@@ -418,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixtures", action="store_true",
                    help="sweep the bundled fixtures instead")
     p.add_argument("--jobs", type=int, default=1, metavar="J",
-                   help="run claims in J worker processes")
+                   help="split the sweep into J parts, J-1 in worker processes")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("search", help="hunt for a separating example")

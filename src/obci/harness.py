@@ -38,12 +38,12 @@ without building the other maps, each classified once and its kernel
 held as one mask.  Every claim of the O-hom pass asks for an
 O-homomorphism, so each other map is one skip for it, counted by
 arithmetic: the number of maps less the number of O-homs.  With `jobs=J`
-the sweep is cut into J fixed parts of one pool, built before the
-workers start, each part run by a worker process of its own: part k
+the sweep is cut into J fixed parts of one pool, built first: part k
 takes the contiguous slice k of the algebras, of the O-homs and of the
-pairs' first factors; part 0 also runs the map pass whole and counts the
-skipped maps; and the parent adds each claim's partial reports up in k
-order, so counterexamples stay in pass order.
+pairs' first factors; part 0, which also runs the map pass whole and
+counts the skipped maps, runs in the calling process, and each other
+part in one of J-1 worker processes; the caller adds each claim's
+partial reports up in k order, so counterexamples stay in pass order.
 
 The map pass and the pair pass memoize on a signature, the part of an
 instance that fixes the verdict of every claim of the scope.  A map's is
@@ -267,8 +267,11 @@ def _part_of(items, part):
 def _pool_for(sizes=None, fixtures=False, *, up_to_iso=False) -> _Pool:
     """The pool of a scope: every bundled fixture algebra that validates and
     every fixture map when `fixtures` is True, else the algebras of `sizes`
-    (1 to 3 by default)."""
+    (1 to 3 by default); sizes or `up_to_iso` beside the fixtures, and a
+    repeated size, are refused."""
     if fixtures is True:
+        if sizes is not None or up_to_iso:
+            raise ValueError("the fixture scope takes no sizes and no up_to_iso")
         algebras = [v for v in map(fixture_lib.validated, fixture_lib.ALGEBRAS)
                     if v is not None]
         return _Pool(algebras, fixture_maps=list(fixture_lib.MAPS.values()))
@@ -276,10 +279,9 @@ def _pool_for(sizes=None, fixtures=False, *, up_to_iso=False) -> _Pool:
         raise TypeError(f"fixtures is a flag (True or False), got {fixtures!r}")
     if sizes is None:
         sizes = (1, 2, 3)
-    algebras = []
-    for n in sizes:
-        algebras.extend(enumerate_obci(n, up_to_iso=up_to_iso))
-    return _Pool(algebras)
+    if len(set(sizes)) < len(sizes):
+        raise ValueError(f"a size is given twice in {tuple(sizes)}")
+    return _Pool([a for n in sizes for a in enumerate_obci(n, up_to_iso=up_to_iso)])
 
 
 def _map_ctx(m: Mapping) -> str:
@@ -801,11 +803,12 @@ def verify_all(claims=CLAIM_IDS, *, sizes=None, fixtures=False,
     """Run several claims over one shared scope, split into `jobs` parts;
     see CLAIM_IDS for names.
 
-    The scope's pool is built once, here, and every part (see `_run_part`)
-    slices it; with jobs > 1 every part runs in a worker process of its
-    own, which inherits the pool or receives it pickled.  Reports come
-    back in claim order and equal a serial run's: each claim's partial
-    reports are added up, their counterexamples concatenated in part order.
+    The scope's pool is built once, here, and every part slices it; part
+    0, with the map pass and the unseen-map count, runs in this process,
+    each other part in a worker that inherits the pool or receives it
+    pickled (`_run_parts`).  Reports come back in claim order and equal a
+    serial run's: each claim's partial reports are added up, their
+    counterexamples concatenated in part order.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -813,11 +816,10 @@ def verify_all(claims=CLAIM_IDS, *, sizes=None, fixtures=False,
     if not claims:
         return []
     args = (claims, _pool_for(sizes, fixtures, up_to_iso=up_to_iso))
-    parts = [_run_part(*args, 0, 1)] if jobs == 1 else _run_in_workers(args, jobs)
     return [SweepReport(c, sum(r.instances_checked for r in reports),
                         sum(r.hypothesis_skipped for r in reports),
                         tuple(ce for r in reports for ce in r.counterexamples))
-            for c, *reports in zip(claims, *parts)]
+            for c, *reports in zip(claims, *_run_parts(args, jobs))]
 
 
 def _run_pass(pool: _Pool, scope: str, claims, part):
@@ -825,9 +827,9 @@ def _run_pass(pool: _Pool, scope: str, claims, part):
     its instances: the algebras, the O-homs, or the pairs' first factors.
     Returns claim id -> (checked, skipped, counterexamples).
 
-    Part 0 runs the map pass whole and counts each map the O-hom pass never
-    sees as one skip, so that the parts add up to each once; the other
-    parts report zero for the MAP claims.
+    Part 0, the caller's, runs the map pass whole and counts each map the
+    O-hom pass never sees as one skip, so that the parts add up to each
+    once; the workers' parts report zero for the MAP claims.
     """
     first = part[0] == 0
     if scope == MAP:
@@ -859,50 +861,45 @@ def _run_part(claims, pool: _Pool, k, parts):
             for c in claims for checked, skipped, ces in [results[c]]]
 
 
-def _run_in_workers(args, jobs):
-    """`_run_part(*args, k, jobs)` for every k, each in a process of its own.
-
-    Part k always runs in the k-th process, whatever the timing.  An
-    exception in a worker is raised here, and a worker that dies without
-    an answer raises RuntimeError; either way every worker is stopped and
-    joined first.
+def _run_parts(args, jobs):
+    """`_run_part(*args, k, jobs)` for every k: parts 1 to jobs-1 each in a
+    worker process started first, part 0 in this process (with jobs=1 no
+    worker, pipe or `multiprocessing` import), then each worker's answer
+    in part order, so a failing worker is reported only once part 0 ends.
+    A worker's exception is raised with its traceback as the cause, and a
+    worker that dies without an answer raises RuntimeError; on any error
+    every worker is stopped, and every worker is joined.
     """
-    import multiprocessing
-    from multiprocessing.connection import wait
-
-    procs, readers = [], []
+    if jobs > 1:
+        import multiprocessing
+    workers = []
     try:
-        for k in range(jobs):
+        for k in range(1, jobs):
             reader, writer = multiprocessing.Pipe(duplex=False)
             proc = multiprocessing.Process(target=_worker, args=(writer, *args, k, jobs))
             proc.start()
             writer.close()  # the worker holds the only write end: EOF if it dies
-            procs.append(proc)
-            readers.append(reader)
-        results = [None] * jobs
-        pending = {reader: k for k, reader in enumerate(readers)}
-        while pending:
-            for reader in wait(list(pending)):
-                k = pending.pop(reader)
-                try:
-                    ok, value = reader.recv()
-                except EOFError:
-                    procs[k].join()
-                    raise RuntimeError(f"worker {k} exited with code "
-                                       f"{procs[k].exitcode} without an answer") from None
-                if not ok:
-                    exc, remote_traceback = value
-                    raise exc from RuntimeError(f"in worker {k}:\n{remote_traceback}")
-                results[k] = value
+            workers.append((proc, reader))
+        results = [_run_part(*args, 0, jobs)]
+        for k, (proc, reader) in enumerate(workers, 1):
+            try:
+                ok, value = reader.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"worker {k} exited with code "
+                                   f"{proc.exitcode} without an answer") from None
+            if not ok:
+                exc, remote_traceback = value
+                raise exc from RuntimeError(f"in worker {k}:\n{remote_traceback}")
+            results.append(value)
         return results
     except BaseException:
-        for proc in procs:
+        for proc, _ in workers:
             proc.terminate()
         raise
     finally:
-        for reader in readers:
+        for proc, reader in workers:
             reader.close()
-        for proc in procs:
             proc.join()
 
 

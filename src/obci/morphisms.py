@@ -122,6 +122,8 @@ def classify(m: Mapping, *, witness_cap: int | None = None) -> MorphismClass:
     fails, or when a carrier is too large for it, are the cells scanned one
     by one for the witnesses, in lexicographic order.
     """
+    if witness_cap is not None and witness_cap < 0:
+        raise ValueError(f"witness cap must be at least 0, got {witness_cap}")
     src, dst = m.source, m.target
     if src.n <= 256 and dst.n <= 256 and decide_laws(src, dst, bytes(m.table))[1]:
         return _OHOM

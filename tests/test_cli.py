@@ -369,6 +369,26 @@ def test_verify_beyond_the_largest_carrier_starts_no_worker(monkeypatch, capsys,
     assert (rc, out, err) == (2, "", "error: carrier size 5 beyond the supported maximum 4\n")
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="needs the fork start method")
+def test_verify_with_jobs_j_starts_j_minus_one_workers(monkeypatch, capsys):
+    # part 0 runs in this process, each other part in a worker
+    started, process = [], multiprocessing.Process
+
+    def counted(*args, **kwargs):
+        started.append(kwargs["args"][-2:])
+        return process(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Process", counted)
+    serial = run(capsys, "--format", "machine", "verify", "all", "--size", "2")
+    for jobs in (1, 2, 3):
+        started.clear()
+        assert run(capsys, "--format", "machine", "verify", "all", "--size", "2",
+                   "--jobs", str(jobs)) == serial
+        assert started == [(k, jobs) for k in range(1, jobs)]
+    assert serial[0] == 1
+
+
 @pytest.mark.parametrize("argv, message", [
     (("enumerate", "0"), "enumerate: n must be at least 1, got 0"),
     (("verify", "all", "--size", "0"), "verify: --size must be at least 1, got 0"),

@@ -1,5 +1,6 @@
 import pytest
 
+from obci import classify
 from obci import fixtures as fx
 
 
@@ -70,6 +71,17 @@ def test_swap_classification_finding():
     assert f.stated == "hom=yes,omap=no"
     assert f.computed == "hom=no,omap=no"
     assert ("hom", "1", "1") in f.witnesses
+
+
+def test_a_diverging_omap_verdict_names_only_the_first_omap_witness():
+    # no stated o-map verdict diverges, so a synthetic claim takes that branch
+    m = fx.MAPS["mid3-swap"]
+    cls = classify(m)
+    assert not cls.is_hom and not cls.is_omap
+    f, = fx._audit([fx.StatedClaim("mid3-swap", "classify", (False, True))])
+    assert (f.stated, f.computed) == ("hom=no,omap=yes", "hom=no,omap=no")
+    first = tuple(m.source.labels[x] for x in cls.omap.witnesses[0])
+    assert f.witnesses == (("omap", *first),)
 
 
 def test_stated_claims_that_hold_produce_no_findings():

@@ -1,9 +1,12 @@
+import gc
 import hashlib
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -155,6 +158,31 @@ def test_fixtures_is_a_flag(monkeypatch):
             find_counterexample("omap-not-hom", fixtures=bad)
 
 
+@pytest.mark.parametrize("scope", [{"sizes": (4,)}, {"sizes": (1, 2)},
+                                   {"up_to_iso": True}])
+def test_the_fixture_scope_takes_no_sizes_and_no_iso(monkeypatch, scope):
+    # size 4 has a hom that is no O-map, the fixtures have none: the sizes
+    # were dropped without a word
+    assert find_counterexample("hom-not-omap", fixtures=True) is None
+    monkeypatch.setattr(multiprocessing, "Process", _no_process)
+    with pytest.raises(ValueError, match="fixture scope"):
+        find_counterexample("hom-not-omap", fixtures=True, **scope)
+    for jobs in (1, 2):
+        with pytest.raises(ValueError, match="fixture scope"):
+            verify_all(("P-identities",), fixtures=True, jobs=jobs, **scope)
+
+
+def test_a_repeated_size_is_refused(monkeypatch):
+    claims = ("P-identities", "P-kernel-alt")
+    counts = [r.instances_checked for r in verify_all(claims, sizes=(2,))]
+    assert counts == [2, 16]  # repeating the size counted each instance twice
+    monkeypatch.setattr(multiprocessing, "Process", _no_process)
+    for sizes in ((2, 2), (1, 2, 1)):
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match="twice"):
+                verify_all(claims, sizes=sizes, jobs=jobs)
+
+
 def test_fixture_scope_skips_unvalidated_endpoints():
     r = verify_all(("T-kernel-filter",), fixtures=True)[0]
     # exy-to-ea and exy-id run; maps touching mid3/diamond/chain4 are
@@ -270,12 +298,32 @@ def test_parallel_counterexamples_keep_map_and_algebra_order(monkeypatch):
                           jobs=jobs) == serial
 
 
+# Part 0 runs in the test's own process, so these fail only in a worker.
+_TEST_PROCESS = os.getpid()
+
+
 def _exit_worker(pair):
-    os._exit(3)
+    if os.getpid() != _TEST_PROCESS:
+        os._exit(3)
+    return ()
 
 
 def _raise(pair):
-    raise ZeroDivisionError("check failed")
+    if os.getpid() != _TEST_PROCESS:
+        raise ZeroDivisionError("check failed")
+    return ()
+
+
+_stalled = []
+
+
+def _raise_here_stall_there(pair):
+    if os.getpid() == _TEST_PROCESS:
+        raise ZeroDivisionError("check failed in the caller")
+    if not _stalled:  # once per worker, so a worker left running ends
+        _stalled.append(pair)
+        time.sleep(60)
+    return ()
 
 
 @_FORK_ONLY
@@ -285,6 +333,30 @@ def test_worker_failure_raises_in_parent(monkeypatch, check, error):
     _patch_conclusion(monkeypatch, "T-ksets", check)
     with pytest.raises(error):
         verify_all(_MIXED_CLAIMS, sizes=(1, 2), jobs=2)
+
+
+@_FORK_ONLY
+def test_a_failure_in_the_callers_part_stops_and_joins_every_worker(monkeypatch):
+    _patch_conclusion(monkeypatch, "T-ksets", _raise_here_stall_there)
+    start = time.monotonic()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ZeroDivisionError, match="in the caller"):
+            verify_all(_MIXED_CLAIMS, sizes=(1, 2), jobs=3)
+        gc.collect()
+    assert time.monotonic() - start < 30  # the stalled workers were stopped
+    assert multiprocessing.active_children() == []
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_more_parts_than_instances_equal_the_serial_run():
+    # sizes (1,): one algebra, one map, one O-hom and one pair, so with
+    # jobs=3 each claim's one instance falls in one part, the others empty
+    pool = harness._pool_for(sizes=(1,))
+    parts = [harness._run_part(CLAIM_IDS, pool, k, 3) for k in range(3)]
+    for reports in zip(*parts):
+        assert [r.instances_checked + r.hypothesis_skipped for r in reports].count(0) == 2
+    assert verify_all(CLAIM_IDS, sizes=(1,), jobs=3) == verify_all(CLAIM_IDS, sizes=(1,))
 
 
 @_FORK_ONLY
@@ -316,15 +388,34 @@ for scope in ({"sizes": (1, 2)}, {"fixtures": True}):
 """
 
 
+def _python_c(script, *args):
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True)
+
+
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
 def test_parallel_verify_matches_serial_under_other_start_methods(method):
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"no {method} start method here")
-    src = str(Path(__file__).parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    run = subprocess.run([sys.executable, "-c", _SWEEP_UNDER, method], env=env,
-                         capture_output=True, text=True)
+    run = _python_c(_SWEEP_UNDER, method)
+    assert run.returncode == 0, run.stderr
+
+
+_SERIAL_SWEEPS = """
+import sys
+from obci import find_counterexample, verify_all
+verify_all(sizes=(1, 2))
+verify_all(fixtures=True, jobs=1)
+find_counterexample("T-ordfilter-bijection", sizes=(1, 2))
+assert "multiprocessing" not in sys.modules, "a serial sweep imported multiprocessing"
+"""
+
+
+def test_a_serial_sweep_imports_no_multiprocessing():
+    run = _python_c(_SERIAL_SWEEPS)
     assert run.returncode == 0, run.stderr
 
 
@@ -338,10 +429,8 @@ def test_jobs_below_one_is_rejected(monkeypatch, jobs):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_no_claims_start_no_worker(monkeypatch, jobs):
-    def no_workers(*args, **kwargs):
-        raise AssertionError("workers were started")
-
-    monkeypatch.setattr(harness, "_run_in_workers", no_workers)
+    monkeypatch.setattr(multiprocessing, "Process", _no_process)
+    monkeypatch.setattr(harness, "_run_part", _no_process)
     assert verify_all((), jobs=jobs) == []
 
 

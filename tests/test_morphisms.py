@@ -80,6 +80,17 @@ def test_swap_map_is_neither_hom_nor_omap_as_stored():
     assert cls.omap.witnesses == ((0, 1), (0, 2), (1, 2))
 
 
+@pytest.mark.parametrize("m", [exy_id, mid3_swap], ids=["ohom", "not-hom"])
+def test_classify_refuses_a_negative_cap_before_any_report(monkeypatch, m):
+    # exy-id takes the fast path, which builds no report; mid3-swap is scanned
+    def no_report(*args, **kwargs):
+        raise AssertionError("a report was built")
+
+    monkeypatch.setattr(CheckReport, "collect", no_report)
+    with pytest.raises(ValueError, match="witness cap must be at least 0, got -1"):
+        classify(m, witness_cap=-1)
+
+
 def test_diamond_to_chain_is_omap_not_hom():
     cls = classify(d2c)
     assert cls.is_omap and not cls.is_hom
