@@ -15,7 +15,10 @@ generator runs a law over all instantiations in itertools.product order.
 Every check returns a CheckReport whose witnesses are the violating
 instantiations in that (lexicographic) order, all of them unless the
 caller passes a cap; `CheckReport.collect` is the one place a cap is
-applied, and only the checks the CLI prints take one.
+applied, and only the checks the CLI prints take one.  `check_axiom`
+first decides its axiom at every instantiation at once on byte tables
+(`_BYTE_AXIOMS`, carriers of at most 16 elements) and runs the generator
+only to list the witnesses of a failing axiom.
 
 Plain records are NamedTuples.  The three types that validate their
 input (RawStructure, Subset and morphisms.Mapping) are `_Value` classes:
@@ -26,7 +29,7 @@ constructors set once.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 
@@ -141,7 +144,7 @@ class RawStructure(_Value):
     def __init__(self, name: str, labels: Iterable[str], op, unit: int, order):
         labels = tuple(labels)
         op = tuple(tuple(row) for row in op)
-        order = tuple(tuple(bool(v) for v in row) for row in order)
+        order = tuple(tuple(map(bool, row)) for row in order)
         n = len(labels)
         if n == 0:
             raise StructureError(f"{name}: carrier must be non-empty")
@@ -167,7 +170,7 @@ class RawStructure(_Value):
     @cached_property
     def op_bytes(self) -> bytes:
         """`op` in row-major order, one byte per entry."""
-        return bytes(v for row in self.op for v in row)
+        return bytes(itertools.chain.from_iterable(self.op))
 
     @cached_property
     def row_tables(self) -> tuple[bytes, ...]:
@@ -352,14 +355,110 @@ def _law_reports(s: RawStructure, laws: dict[str, Law]) -> list[CheckReport]:
     return [CheckReport.collect(name, _violations(s, law)) for name, law in laws.items()]
 
 
+# --- the axioms on byte tables -------------------------------------------------
+#
+# On a carrier of at most BYTE_VERDICT_SIZE elements every index a*n+b of
+# the row-major table fits in one byte, so a term is evaluated at every
+# instantiation at once.  A variable is the byte string of its values in
+# itertools.product order (`_grid`); op[a][b] gathers `op_bytes` at the
+# indices a*n+b, formed by one `bytes.translate` (a to a*n) and one big-int
+# addition of b, which adds byte by byte since no sum reaches 256; a cone
+# test reads the gathered bytes through `cone_digits` as one binary
+# number.  `_BYTE_AXIOMS` restates each law of AXIOMS as the bitmask of its
+# violating instantiations, the first instantiation the most significant
+# bit; tests and a CI step check the two statements against each other.
+
+BYTE_VERDICT_SIZE = 16
+
+_FLIP = bytes.maketrans(b"01", b"10")
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+@cache
+def _grid(n: int, arity: int) -> tuple[bytes, ...]:
+    """Per variable, its value at every instantiation of `arity` variables
+    over n elements, in itertools.product order."""
+    return tuple(map(bytes, zip(*itertools.product(range(n), repeat=arity))))
+
+
+@cache
+def _times(n: int) -> bytes:
+    """The `bytes.translate` table sending a < n to a*n."""
+    return bytes(range(0, n * n, n)).ljust(256, b"\0")
+
+
+@cache
+def _distinct(n: int) -> int:
+    """The pairs (x, y) over n elements with x != y, as a bitmask."""
+    x, y = _grid(n, 2)
+    return int(bytes(b"01"[a != b] for a, b in zip(x, y)), 2)
+
+
+class _Terms:
+    """The terms of one structure, each at every instantiation at once."""
+
+    def __init__(self, s: RawStructure):
+        self.s = s
+        self.table = s.op_bytes.ljust(256, b"\0")
+        self.times = _times(s.n)
+
+    def op(self, a: bytes, b: bytes) -> bytes:
+        """op[a][b]."""
+        index = int.from_bytes(a.translate(self.times), "big") + int.from_bytes(b, "big")
+        return index.to_bytes(len(a), "big").translate(self.table)
+
+    def cone(self, v: bytes) -> int:
+        """Where v lies in the stored cone."""
+        return int(v.translate(self.s.cone_digits), 2)
+
+    def out(self, v: bytes) -> int:
+        """Where v lies outside the stored cone."""
+        return int(v.translate(self.s.cone_digits).translate(_FLIP), 2)
+
+    @property
+    def order(self) -> int:
+        """Where x <= y in the stored relation, over the pairs (x, y)."""
+        return int(bytes(itertools.chain.from_iterable(self.s.order)).translate(_DIGITS), 2)
+
+    @property
+    def distinct(self) -> int:
+        """Where x != y, over the pairs (x, y)."""
+        return _distinct(self.s.n)
+
+
+_BYTE_AXIOMS: dict[str, Callable[..., int]] = {
+    "OBCI-1": lambda t, x, y, z: t.out(t.op(t.op(x, y), t.op(t.op(y, z), t.op(x, z)))),
+    "OBCI-2": lambda t, x, y: t.out(t.op(x, t.op(t.op(x, y), y))),
+    "OBCI-3": lambda t, x: t.out(t.op(x, x)),
+    "OBCI-4": lambda t, x, y: t.cone(t.op(x, y)) & t.cone(t.op(y, x)) & t.distinct,
+    "OBCI-5": lambda t, x, y: t.order ^ t.cone(t.op(x, y)),
+    "OBCI-6": lambda t, x, y: t.cone(x) & t.order & t.out(y),
+}
+
+
+def _byte_violations(s: RawStructure, axiom: str) -> int:
+    """The instantiations violating `axiom` as one bitmask, the first the
+    most significant bit, decided on byte tables; `s` has at most
+    BYTE_VERDICT_SIZE elements."""
+    return _BYTE_AXIOMS[axiom](_Terms(s), *_grid(s.n, AXIOMS[axiom].arity))
+
+
 # --- axiom evaluation ------------------------------------------------------
 
 def check_axiom(s: RawStructure, axiom: str, *,
                 witness_cap: int | None = None) -> CheckReport:
-    """Exhaustively check one axiom; witnesses are the violating tuples."""
+    """Exhaustively check one axiom; witnesses are the violating tuples.
+
+    On at most BYTE_VERDICT_SIZE elements the verdict is decided first on
+    byte tables (`_byte_violations`); the instantiations are scanned one by
+    one only to list the witnesses of a failing axiom, or on a larger
+    carrier.
+    """
     if axiom not in AXIOMS:
         raise ValueError(f"unknown axiom id {axiom!r}")
-    return CheckReport.collect(axiom, _violations(s, AXIOMS[axiom]), witness_cap)
+    holds = s.n <= BYTE_VERDICT_SIZE and not _byte_violations(s, axiom)
+    return CheckReport.collect(axiom, () if holds else _violations(s, AXIOMS[axiom]),
+                               witness_cap)
 
 
 def axiom_reports(s: RawStructure, *,

@@ -27,8 +27,9 @@ The claims a sweep asks for are checked in one pass per scope, and
 in the order the scopes first occur among the claims: over the
 algebras; over the O-homomorphisms, working out each one's surjectivity,
 unit preservation and reflection once; over every map, for
-`P-kernel-alt`; and over the O-homomorphism pairs, building each product
-once and, per pair, only the pair map's byte table, one join of rows
+`P-kernel-alt`; and over the O-homomorphism pairs, reading each product
+from the pool, which certifies it once per sweep (`_Pool.products`),
+and building per pair only the pair map's byte table, one join of rows
 built once per second factor (`products.pair_rows`), on which both
 morphism laws are decided cell by cell and the pair kernel is read
 (`morphisms.decide_laws`); the pair map itself is built only to name a
@@ -38,12 +39,14 @@ without building the other maps, each classified once and its kernel
 held as one mask.  Every claim of the O-hom pass asks for an
 O-homomorphism, so each other map is one skip for it, counted by
 arithmetic: the number of maps less the number of O-homs.  With `jobs=J`
-the sweep is cut into J fixed parts of one pool, built first: part k
-takes the contiguous slice k of the algebras, of the O-homs and of the
-pairs' first factors; part 0, which also runs the map pass whole and
-counts the skipped maps, runs in the calling process, and each other
-part in one of J-1 worker processes; the caller adds each claim's
-partial reports up in k order, so counterexamples stay in pass order.
+the sweep is cut into J fixed parts of one pool, built first with the
+atlases, O-homs and products its passes read, so no worker builds any
+of them again: part k takes the contiguous slice k of the algebras, of
+the O-homs and of the pairs' first factors; part 0, which also runs the
+map pass whole and counts the skipped maps, runs in the calling
+process, and each other part in one of J-1 worker processes; the caller
+adds each claim's partial reports up in k order, so counterexamples
+stay in pass order.
 
 The map pass and the pair pass memoize on a signature, the part of an
 instance that fixes the verdict of every claim of the scope.  A map's is
@@ -205,11 +208,15 @@ def enumerate_obci_naive(n: int):
 class _Pool:
     """Algebras and maps a sweep quantifies over: every map between pool
     algebras, or the explicit fixture maps (`map_blocks`), from which
-    `_check_maps` decides `P-kernel-alt` per (target, image set); and the
+    `_check_maps` decides `P-kernel-alt` per (target, image set); the
     O-homomorphisms among them (`ohoms`), the one list the O-hom pass and
-    the pair pass read.  The other maps are counted, not built.  It holds
-    scope data only: the claims of a pass and its slice are arguments of
-    `_run_pass`."""
+    the pair pass read; and the product of each two pool algebras
+    (`products`), which the pair pass reads.  The other maps are counted,
+    not built.  It holds scope data only: the claims of a pass and its
+    slice are arguments of `_run_pass`.  Each datum is built on first use;
+    `verify_all` builds what its claims' passes read before any worker
+    starts, so that every part reads one copy.
+    """
 
     def __init__(self, algebras: list[ValidatedAlgebra],
                  fixture_maps: list[Mapping] | None = None):
@@ -255,6 +262,23 @@ class _Pool:
         the pool that `classify` calls an O-hom, classified once."""
         return [(i, j, m, kernel(m).mask) for i, j, m in self.homs()
                 if i is not None and j is not None and classify(m).is_ohom]
+
+    @cached_property
+    def products(self) -> list[list[ProductAlgebra]]:
+        """The product of each two pool algebras, by their pool positions,
+        each built and certified by `direct_product` once per sweep.  Every
+        OBCI axiom is a universal Horn sentence, so a product of two
+        algebras is one (A. Horn, JSL 1951): a failed certification raises
+        RuntimeError, as in `core.certified`."""
+        def certified_product(left, right):
+            product, report = direct_product(left, right)
+            if not report.holds:
+                raise RuntimeError(f"the product {product.combined.name} of two "
+                                   f"algebras is not an algebra")
+            return product
+
+        structures = [a.structure for a in self.algebras]
+        return [[certified_product(a, b) for b in structures] for a in structures]
 
 
 def _part_of(items, part):
@@ -411,35 +435,29 @@ def _ohom_pairs(pool: _Pool, part):
     """The ordered pairs of O-homs whose first factor lies in slice `part`
     = (k, parts) of `pool.ohoms`, in pair order.
 
-    Products are cached for the pass by the pool positions of their
-    factors and certified by `direct_product` once each.  Every OBCI axiom
-    is a universal Horn sentence, so a product of two algebras is one
-    (A. Horn, JSL 1951): a failed certification raises RuntimeError, as
-    in `core.certified`.  Pairs are streamed, never stored.  Each second
-    factor's `pair_rows` are built once, for the values of every first
-    factor (no pool algebra has more than `MAX_CARRIER_SIZE` elements, so
-    every entry fits a byte), so per pair the pair map's table is one join
-    of rows picked by f1's table, on which `decide_laws` decides both laws
-    and reads the pair kernel.
+    The products are the pool's (`_Pool.products`), each certified once
+    per sweep.  Pairs are streamed, never stored.  Each second factor's
+    `pair_rows` are built once, for the values of every first factor (no
+    pool algebra has more than `MAX_CARRIER_SIZE` elements, so every entry
+    fits a byte), so per pair the pair map's table is one join of rows
+    picked by f1's table, on which `decide_laws` decides both laws and
+    reads the pair kernel.  The second factors come in blocks of one
+    source and one target, so the two products are looked up once per
+    first factor and block.
     """
     n1 = max((a.n for a in pool.algebras), default=0)
-    seconds = [(s2, t2, f2, k2, pair_rows(f2, n1)) for s2, t2, f2, k2 in pool.ohoms]
-
-    @cache
-    def product_of(i1, i2):
-        left, right = pool.algebras[i1].structure, pool.algebras[i2].structure
-        product, report = direct_product(left, right)
-        if not report.holds:
-            raise RuntimeError(f"the product {product.combined.name} of two "
-                               f"algebras is not an algebra")
-        return product
-
+    blocks = [(s2, t2, [(f2, k2, pair_rows(f2, n1)) for _, _, f2, k2 in block])
+              for (s2, t2), block in itertools.groupby(pool.ohoms, key=lambda o: o[:2])]
+    products = pool.products
     for s1, t1, f1, k1 in _part_of(pool.ohoms, part):
-        for s2, t2, f2, k2, rows in seconds:
-            src, dst = product_of(s1, s2), product_of(t1, t2)
-            table = pair_table(f1, rows)
-            ker, ohom = decide_laws(src.combined, dst.combined, table)
-            yield _OhomPair(f1, f2, src, dst, table, ohom, (s1, s2, k1, k2, ker))
+        sources, targets = products[s1], products[t1]
+        for s2, t2, seconds in blocks:
+            src, dst = sources[s2], targets[t2]
+            source, target = src.combined, dst.combined
+            for f2, k2, rows in seconds:
+                table = pair_table(f1, rows)
+                ker, ohom = decide_laws(source, target, table)
+                yield _OhomPair(f1, f2, src, dst, table, ohom, (s1, s2, k1, k2, ker))
 
 
 # --- hypotheses ----------------------------------------------------------------
@@ -626,6 +644,10 @@ def _ksets(p: _OhomPair):
 
 ALGEBRA, MAP, OHOM, PAIR = "algebra", "map", "ohom", "pair"
 
+# The pool data each scope's pass reads (see `_Pool`).
+_READS = {ALGEBRA: ("atlas",), MAP: (), OHOM: ("atlas", "ohoms"),
+          PAIR: ("ohoms", "products")}
+
 
 class Claim(NamedTuple):
     """A claim as data.
@@ -803,19 +825,24 @@ def verify_all(claims=CLAIM_IDS, *, sizes=None, fixtures=False,
     """Run several claims over one shared scope, split into `jobs` parts;
     see CLAIM_IDS for names.
 
-    The scope's pool is built once, here, and every part slices it; part
-    0, with the map pass and the unseen-map count, runs in this process,
-    each other part in a worker that inherits the pool or receives it
-    pickled (`_run_parts`).  Reports come back in claim order and equal a
-    serial run's: each claim's partial reports are added up, their
-    counterexamples concatenated in part order.
+    The scope's pool is built once, here, with the atlases, O-homs and
+    products its claims' passes read, and every part slices it; part 0,
+    with the map pass and the unseen-map count, runs in this process, each
+    other part in a worker that inherits the pool or receives it pickled
+    (`_run_parts`), so no worker builds any of it again.  Reports come
+    back in claim order and equal a serial run's: each claim's partial
+    reports are added up, their counterexamples concatenated in part
+    order.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     claims = tuple(_known(c) for c in claims)
     if not claims:
         return []
-    args = (claims, _pool_for(sizes, fixtures, up_to_iso=up_to_iso))
+    pool = _pool_for(sizes, fixtures, up_to_iso=up_to_iso)
+    for name in dict.fromkeys(n for c in claims for n in _READS[CLAIMS[c].scope]):
+        getattr(pool, name)  # built before any worker starts
+    args = (claims, pool)
     return [SweepReport(c, sum(r.instances_checked for r in reports),
                         sum(r.hypothesis_skipped for r in reports),
                         tuple(ce for r in reports for ce in r.counterexamples))
@@ -868,7 +895,8 @@ def _run_parts(args, jobs):
     in part order, so a failing worker is reported only once part 0 ends.
     A worker's exception is raised with its traceback as the cause, and a
     worker that dies without an answer raises RuntimeError; on any error
-    every worker is stopped, and every worker is joined.
+    every worker is stopped, and every worker is joined and closed, its
+    pipe and its sentinel with it.
     """
     if jobs > 1:
         import multiprocessing
@@ -901,6 +929,7 @@ def _run_parts(args, jobs):
         for proc, reader in workers:
             reader.close()
             proc.join()
+            proc.close()  # its sentinel pipe, else open while a traceback holds it
 
 
 def _worker(conn, *args):

@@ -53,27 +53,16 @@ class ProductAlgebra(NamedTuple):
 
 
 def product_structure(x1: RawStructure, x2: RawStructure) -> RawStructure:
-    n1, n2 = x1.n, x2.n
-    n = n1 * n2
-    labels = tuple(f"({a},{b})" for a in x1.labels for b in x2.labels)
-    op = [[0] * n for _ in range(n)]
-    order = [[False] * n for _ in range(n)]
-    for a1 in range(n1):
-        for a2 in range(n2):
-            i = a1 * n2 + a2
-            for b1 in range(n1):
-                v1 = x1.op[a1][b1]
-                o1 = x1.order[a1][b1]
-                for b2 in range(n2):
-                    j = b1 * n2 + b2
-                    op[i][j] = v1 * n2 + x2.op[a2][b2]
-                    order[i][j] = o1 and x2.order[a2][b2]
+    n2 = x2.n
+    # row a1*n2 + a2, column b1*n2 + b2, both pairs in row-major order
     return RawStructure(
         name=f"{x1.name}x{x2.name}",
-        labels=labels,
-        op=tuple(tuple(r) for r in op),
+        labels=tuple(f"({a},{b})" for a in x1.labels for b in x2.labels),
+        op=tuple(tuple(v1 * n2 + v2 for v1 in r1 for v2 in r2)
+                 for r1 in x1.op for r2 in x2.op),
         unit=x1.unit * n2 + x2.unit,
-        order=tuple(tuple(r) for r in order),
+        order=tuple(tuple(o1 and o2 for o1 in q1 for o2 in q2)
+                    for q1 in x1.order for q2 in x2.order),
     )
 
 

@@ -32,9 +32,10 @@ from obci import (
     validate,
     verify_all,
 )
+from obci import core
 from obci.core import AXIOMS, bits
 from obci import fixtures as fx
-from obci.products import ProductAlgebra
+from obci.products import ProductAlgebra, product_structure
 
 exy = fx.ALGEBRAS["exy"]
 ea = fx.ALGEBRAS["ea"]
@@ -459,3 +460,95 @@ def test_axiom_verdicts_invariant_under_relabeling(s, rng):
     for axiom in AXIOM_IDS:
         assert check_axiom(s, axiom, witness_cap=1).holds == \
             check_axiom(permuted, axiom, witness_cap=1).holds
+
+
+# --- the byte verdict: the axioms decided at every instantiation at once ------
+
+def _decoded(s, axiom):
+    """The instantiations `core._byte_violations` marks, in scan order."""
+    mask = core._byte_violations(s, axiom)
+    insts = list(itertools.product(range(s.n), repeat=AXIOMS[axiom].arity))
+    return [t for i, t in enumerate(insts) if mask >> len(insts) - 1 - i & 1]
+
+
+def _assert_bytes_are_the_scan(s):
+    """Each axiom's byte verdict marks exactly the instantiations its
+    predicate, scanned cell by cell, finds violated."""
+    for axiom in AXIOM_IDS:
+        assert _decoded(s, axiom) == list(core._violations(s, AXIOMS[axiom])), (s, axiom)
+
+
+def _one_change_mutants(s):
+    """`s` with one cell of `op` changed to another value, and with one bit
+    of `order` flipped, each way once."""
+    for x, y in itertools.product(range(s.n), repeat=2):
+        for v in range(s.n):
+            if v != s.op[x][y]:
+                op = [list(row) for row in s.op]
+                op[x][y] = v
+                yield RawStructure(s.name, s.labels, op, s.unit, s.order)
+        order = [list(row) for row in s.order]
+        order[x][y] = not order[x][y]
+        yield RawStructure(s.name, s.labels, s.op, s.unit, order)
+
+
+def test_byte_verdict_is_the_scan_on_labelled_algebras_and_their_one_change_mutants():
+    algebras = [a.structure for n in (1, 2, 3) for a in enumerate_obci(n)]
+    assert len(algebras) == 13
+    mutants = [m for s in algebras for m in _one_change_mutants(s)]
+    # op: 8 at size 2 and 180 at size 3; order: 1 + 8 + 90
+    assert len(mutants) == 188 + 99
+    for s in algebras + mutants:
+        _assert_bytes_are_the_scan(s)
+
+
+def test_byte_verdict_is_the_scan_on_the_fixtures_and_small_products():
+    for s in fx.ALGEBRAS.values():
+        _assert_bytes_are_the_scan(s)
+    classes = [a.structure for n in (1, 2) for a in enumerate_obci(n, up_to_iso=True)]
+    for left in classes:
+        for right in classes:
+            product = product_structure(left, right)
+            _assert_bytes_are_the_scan(product)
+            assert all(r.holds for r in axiom_reports(product))
+
+
+@st.composite
+def _structures_up_to_six(draw):
+    """A raw structure of 1 to 6 elements whose relation is either drawn
+    freely or linked to a drawn cone through `order_from_cone`."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    op = [[draw(st.integers(min_value=0, max_value=n - 1)) for _ in range(n)]
+          for _ in range(n)]
+    unit = draw(st.integers(min_value=0, max_value=n - 1))
+    if draw(st.booleans()):
+        cone = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+        order = order_from_cone(op, unit, cone)
+    else:
+        order = [[draw(st.booleans()) for _ in range(n)] for _ in range(n)]
+    return RawStructure("drawn", tuple(f"t{i}" for i in range(n)), op, unit, order)
+
+
+@given(_structures_up_to_six())
+def test_byte_verdict_is_the_scan_on_drawn_structures(s):
+    _assert_bytes_are_the_scan(s)
+
+
+def test_a_negative_cap_is_refused_on_the_byte_path_too():
+    assert check_axiom(exy, "OBCI-1").holds  # decided on bytes
+    with pytest.raises(ValueError, match="witness cap"):
+        check_axiom(exy, "OBCI-1", witness_cap=-1)
+
+
+def test_carriers_past_sixteen_elements_keep_the_scanned_verdict(monkeypatch, blank):
+    product = product_structure(blank(8), blank(8))
+    assert product.n == 64 > core.BYTE_VERDICT_SIZE
+    scanned = [CheckReport.collect(a, core._violations(product, AXIOMS[a]), 1)
+               for a in AXIOM_IDS]
+
+    def no_bytes(s, axiom):
+        raise AssertionError("a 64-element carrier reached the byte verdict")
+
+    monkeypatch.setattr(core, "_byte_violations", no_bytes)
+    assert [check_axiom(product, a, witness_cap=1) for a in AXIOM_IDS] == scanned
+    assert [r.holds for r in scanned] == [True, True, True, False, False, True]

@@ -377,6 +377,58 @@ def test_a_sweep_builds_its_pool_once_before_its_workers_start(monkeypatch):
         assert len(calls) == 1, jobs
 
 
+def _in_the_test_process_only(real, calls):
+    """`real`, raising outside the test's own process and logging its
+    arguments inside it."""
+    def wrapper(*args, **kwargs):
+        if os.getpid() != _TEST_PROCESS:
+            raise AssertionError(f"a worker called {real.__qualname__}")
+        calls.append(args)
+        return real(*args, **kwargs)
+    return wrapper
+
+
+@_FORK_ONLY
+def test_workers_rebuild_none_of_the_pool_data(monkeypatch):
+    # atlases, O-homs and products are built in the caller before the
+    # worker forks, so the worker inherits them
+    serial = verify_all(CLAIM_IDS, sizes=(3,), up_to_iso=True)
+    certified, atlases, homs = [], [], []
+    monkeypatch.setattr(harness, "direct_product",
+                        _in_the_test_process_only(harness.direct_product, certified))
+    monkeypatch.setattr(Atlas, "of", _in_the_test_process_only(Atlas.of, atlases))
+    monkeypatch.setattr(harness, "enumerate_homs",
+                        _in_the_test_process_only(harness.enumerate_homs, homs))
+    assert verify_all(CLAIM_IDS, sizes=(3,), up_to_iso=True, jobs=2) == serial
+    # the 6 x 6 products of the six classes, each certified once
+    assert len(certified) == len(set(certified)) == 36
+    assert len(atlases) == 6 and len(homs) == 36
+
+
+def _open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@_FORK_ONLY
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+@pytest.mark.parametrize("check", [None, _raise_here_stall_there, _raise])
+def test_a_sweep_leaves_no_worker_and_no_descriptor_open(monkeypatch, check):
+    # -X dev cannot see a pipe left open: CPython closes a Connection
+    # silently when it is collected, so count the descriptors instead,
+    # while a failure's traceback still holds the sweep's frames
+    if check is not None:
+        _patch_conclusion(monkeypatch, "T-ksets", check)
+    before = _open_descriptors()
+    if check is None:
+        verify_all(_MIXED_CLAIMS, sizes=(1, 2), jobs=2)
+    else:
+        with pytest.raises(ZeroDivisionError) as failure:
+            verify_all(_MIXED_CLAIMS, sizes=(1, 2), jobs=2)
+        assert failure.traceback
+    assert multiprocessing.active_children() == []
+    assert _open_descriptors() == before
+
+
 # Under spawn and forkserver the pool reaches each worker pickled.  `-c`,
 # not stdin: spawn imports the main module again by its path.
 _SWEEP_UNDER = """
