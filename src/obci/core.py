@@ -10,15 +10,13 @@ positive cone {z : unit <= z}.  By the linking axiom (OBCI-5) the cone
 determines the whole relation: i <= j iff op[i][j] lies in the cone.
 
 The laws are data: AXIOMS, IDENTITIES and ORDER_LAWS map each law id to
-its arity and a predicate that is true where the law is violated, and one
-generator runs a law over all instantiations in itertools.product order.
+its arity and one term that is true where the law is violated, read in one
+pass: on byte tables at every instantiation at once up to 16 elements,
+its bitmask both verdict and witness list, and per instance past that.
 Every check returns a CheckReport whose witnesses are the violating
-instantiations in that (lexicographic) order, all of them unless the
-caller passes a cap; `CheckReport.collect` is the one place a cap is
-applied, and only the checks the CLI prints take one.  `check_axiom`
-first decides its axiom at every instantiation at once on byte tables
-(`_BYTE_AXIOMS`, carriers of at most 16 elements) and runs the generator
-only to list the witnesses of a failing axiom.
+instantiations in lexicographic order, all of them unless the caller
+passes a cap; `CheckReport.collect` is the one place a cap is applied, and
+only the checks the CLI prints take one.
 
 Plain records are NamedTuples.  The three types that validate their
 input (RawStructure, Subset and morphisms.Mapping) are `_Value` classes:
@@ -29,6 +27,7 @@ constructors set once.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import cache, cached_property, partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -185,6 +184,16 @@ class RawStructure(_Value):
         return bytes(b"01"[c] for c in self.order[self.unit]).ljust(256, b"0")
 
     @cached_property
+    def byte_readers(self) -> tuple:
+        """`op`, `le`, `nle`, `cone` and `out` for the byte reading of a law
+        (`_read_on_bytes`); n is at most 16."""
+        le = bytes(itertools.chain.from_iterable(self.order)).translate(_DIGITS).ljust(256, b"0")
+        times = bytes(range(0, self.n * self.n, self.n)).ljust(256, b"\0")  # a to a*n
+        return (_Table(self.op_bytes.ljust(256, b"\0"), times, False),
+                _Table(le, times, True), _Table(le.translate(_FLIP), times, True),
+                _Test(self.cone_digits), _Test(self.cone_digits.translate(_FLIP)))
+
+    @cached_property
     def cone_values_mask(self) -> int:
         """Bitmask of the values of `op` that lie in the stored cone."""
         cone = self.order[self.unit]
@@ -288,51 +297,51 @@ class ValidatedAlgebra(NamedTuple):
 
 # --- laws as data ------------------------------------------------------------
 #
-# A law is its arity and a predicate that is true where the law is violated.
-# The predicate reads the operation table, the stored relation, the stored
-# cone (the unit's row of the relation) and the unit, then one
-# instantiation.  Statements of the form "unit <= w" are looked up in the
-# stored relation, never recomputed through the cone, so structures that
-# break the linking axiom are probed exactly as written.
+# A law is its arity and one term, true where the law is violated, over
+# `op[a][b]`, the stored relation `le[a][b]` and its complement `nle`, the
+# stored cone `cone[v]` (the unit's row of the relation) and its complement
+# `out`, `ne(a, b)`, the unit `e` and one instantiation, joined by `&` and
+# `^` only.  "unit <= w" is looked up in the stored relation, never
+# recomputed through the cone, so structures that break the linking axiom
+# are probed exactly as written.
 
 
 class Law(NamedTuple):
     arity: int
-    violated: Callable[..., bool]
+    violated: Callable[..., object]
 
 
 AXIOMS: dict[str, Law] = {
-    "OBCI-1": Law(3, lambda op, order, cone, e, x, y, z:
-                  not cone[op[op[x][y]][op[op[y][z]][op[x][z]]]]),
-    "OBCI-2": Law(2, lambda op, order, cone, e, x, y: not cone[op[x][op[op[x][y]][y]]]),
-    "OBCI-3": Law(1, lambda op, order, cone, e, x: not cone[op[x][x]]),
-    "OBCI-4": Law(2, lambda op, order, cone, e, x, y:
-                  cone[op[x][y]] and cone[op[y][x]] and x != y),
-    "OBCI-5": Law(2, lambda op, order, cone, e, x, y: order[x][y] != cone[op[x][y]]),
-    "OBCI-6": Law(2, lambda op, order, cone, e, x, y:
-                  cone[x] and order[x][y] and not cone[y]),
+    "OBCI-1": Law(3, lambda op, le, nle, cone, out, ne, e, x, y, z:
+                  out[op[op[x][y]][op[op[y][z]][op[x][z]]]]),
+    "OBCI-2": Law(2, lambda op, le, nle, cone, out, ne, e, x, y: out[op[x][op[op[x][y]][y]]]),
+    "OBCI-3": Law(1, lambda op, le, nle, cone, out, ne, e, x: out[op[x][x]]),
+    "OBCI-4": Law(2, lambda op, le, nle, cone, out, ne, e, x, y:
+                  cone[op[x][y]] & cone[op[y][x]] & ne(x, y)),
+    "OBCI-5": Law(2, lambda op, le, nle, cone, out, ne, e, x, y: le[x][y] ^ cone[op[x][y]]),
+    "OBCI-6": Law(2, lambda op, le, nle, cone, out, ne, e, x, y: cone[x] & le[x][y] & out[y]),
 }
 
 IDENTITIES: dict[str, Law] = {
-    "unit-identity": Law(1, lambda op, order, cone, e, x: op[e][x] != x),
-    "exchange": Law(3, lambda op, order, cone, e, x, y, z:
-                    op[z][op[y][x]] != op[y][op[z][x]]),
-    "antitonicity": Law(3, lambda op, order, cone, e, x, y, z:
-                        cone[op[x][y]] and not cone[op[op[y][z]][op[x][z]]]),
-    "cone-transitivity": Law(3, lambda op, order, cone, e, x, y, z:
-                             cone[op[x][y]] and cone[op[y][z]] and not cone[op[x][z]]),
-    "prefixing": Law(3, lambda op, order, cone, e, x, y, z:
-                     not cone[op[op[y][z]][op[op[x][y]][op[x][z]]]]),
-    "isotonicity": Law(3, lambda op, order, cone, e, x, y, z:
-                       cone[op[x][y]] and not cone[op[op[z][x]][op[z][y]]]),
+    "unit-identity": Law(1, lambda op, le, nle, cone, out, ne, e, x: ne(op[e][x], x)),
+    "exchange": Law(3, lambda op, le, nle, cone, out, ne, e, x, y, z:
+                    ne(op[z][op[y][x]], op[y][op[z][x]])),
+    "antitonicity": Law(3, lambda op, le, nle, cone, out, ne, e, x, y, z:
+                        cone[op[x][y]] & out[op[op[y][z]][op[x][z]]]),
+    "cone-transitivity": Law(3, lambda op, le, nle, cone, out, ne, e, x, y, z:
+                             cone[op[x][y]] & cone[op[y][z]] & out[op[x][z]]),
+    "prefixing": Law(3, lambda op, le, nle, cone, out, ne, e, x, y, z:
+                     out[op[op[y][z]][op[op[x][y]][op[x][z]]]]),
+    "isotonicity": Law(3, lambda op, le, nle, cone, out, ne, e, x, y, z:
+                       cone[op[x][y]] & out[op[op[z][x]][op[z][y]]]),
 }
 
 ORDER_LAWS: dict[str, Law] = {
-    "order-reflexive": Law(1, lambda op, order, cone, e, x: not order[x][x]),
-    "order-antisymmetric": Law(2, lambda op, order, cone, e, x, y:
-                               x != y and order[x][y] and order[y][x]),
-    "order-transitive": Law(3, lambda op, order, cone, e, x, y, z:
-                            order[x][y] and order[y][z] and not order[x][z]),
+    "order-reflexive": Law(1, lambda op, le, nle, cone, out, ne, e, x: nle[x][x]),
+    "order-antisymmetric": Law(2, lambda op, le, nle, cone, out, ne, e, x, y:
+                               ne(x, y) & le[x][y] & le[y][x]),
+    "order-transitive": Law(3, lambda op, le, nle, cone, out, ne, e, x, y, z:
+                            le[x][y] & le[y][z] & nle[x][z]),
 }
 
 AXIOM_IDS = tuple(AXIOMS)
@@ -340,125 +349,114 @@ AXIOM_IDS = tuple(AXIOMS)
 IDENTITY_IDS = tuple(IDENTITIES)
 
 
-def _bound(s: RawStructure, law: Law) -> Callable[..., bool]:
-    """The law's predicate with the structure's tables filled in."""
-    return partial(law.violated, s.op, s.order, s.order[s.unit], s.unit)
+# --- the two readings of a term ---------------------------------------------
+#
+# Per instance, a term reads the structure's tuples, their complements,
+# `operator.ne` and the unit at one instantiation.  On at most
+# BYTE_VERDICT_SIZE elements every index a*n+b fits a byte, so a term is
+# read at every instantiation at once: a variable is the bytes of its
+# values, the last instantiation first (`_grid`); `t[a][b]` gathers a table
+# at a*n+b, formed by one `bytes.translate` and one big-int addition (no
+# byte carries, since no sum reaches 256); a test reads digits as a binary
+# number.  So each test is a bitmask with the first instantiation in its
+# lowest bit, and the term's mask is both the verdict and, walked by
+# `bits`, the witness list.
+
+BYTE_VERDICT_SIZE = 16
+
+_FLIP = bytes.maketrans(b"01", b"10")
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_NONZERO = b"0" + b"1" * 255
+
+
+@cache
+def _instances(n: int, arity: int) -> tuple[tuple[int, ...], ...]:
+    """Every instantiation over n elements, in itertools.product order."""
+    return tuple(itertools.product(range(n), repeat=arity))
+
+
+@cache
+def _grid(n: int, arity: int) -> tuple[bytes, ...]:
+    """Per variable, its value at every instantiation, the last first."""
+    return tuple(map(bytes, zip(*reversed(_instances(n, arity)))))
+
+
+class _Table:
+    """`t[a][b]` of a row-major table, as bytes or, of digits, as a bitmask."""
+
+    __slots__ = ("table", "times", "digits")
+
+    def __init__(self, table: bytes, times: bytes, digits: bool):
+        self.table, self.times, self.digits = table, times, digits
+
+    def __getitem__(self, a: bytes) -> "_Row":
+        return _Row(self, int.from_bytes(a.translate(self.times), "big"))
+
+
+class _Row:
+    __slots__ = ("t", "base")
+
+    def __init__(self, t: _Table, base: int):
+        self.t, self.base = t, base
+
+    def __getitem__(self, b: bytes) -> bytes | int:
+        t = self.t
+        cells = (self.base + int.from_bytes(b, "big")).to_bytes(len(b), "big").translate(t.table)
+        return int(cells, 2) if t.digits else cells
+
+
+class _Test:
+    """`cone[v]` or `out[v]` at every instantiation at once, as a bitmask."""
+
+    __slots__ = ("digits",)
+
+    def __init__(self, digits: bytes):
+        self.digits = digits
+
+    def __getitem__(self, v: bytes) -> int:
+        return int(v.translate(self.digits), 2)
+
+
+def _ne(a: bytes, b: bytes) -> int:
+    """Where a and b differ, as a bitmask."""
+    diff = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    return int(diff.to_bytes(len(a), "big").translate(_NONZERO), 2)
+
+
+def _read_on_bytes(s: RawStructure, law: Law) -> int:
+    """The bitmask of the instantiations violating `law`; s.n <= BYTE_VERDICT_SIZE."""
+    grid = _grid(s.n, law.arity)
+    return law.violated(*s.byte_readers, _ne, bytes((s.unit,)) * len(grid[0]), *grid)
+
+
+def _read_per_instance(s: RawStructure, law: Law) -> Iterator[tuple[int, ...]]:
+    """The instantiations violating `law`, in itertools.product order."""
+    e, nle = s.unit, [[not v for v in row] for row in s.order]
+    term = partial(law.violated, s.op, s.order, nle, s.order[e], nle[e], operator.ne, e)
+    insts = partial(itertools.product, range(s.n), repeat=law.arity)
+    return itertools.compress(insts(), itertools.starmap(term, insts()))
 
 
 def _violations(s: RawStructure, law: Law) -> Iterator[tuple[int, ...]]:
-    """The instantiations violating `law`, in itertools.product order."""
-    insts = partial(itertools.product, range(s.n), repeat=law.arity)
-    return itertools.compress(insts(), itertools.starmap(_bound(s, law), insts()))
+    """The instantiations violating `law`, in itertools.product order: its
+    byte reading on at most BYTE_VERDICT_SIZE elements, else per instance."""
+    if s.n > BYTE_VERDICT_SIZE:
+        return _read_per_instance(s, law)
+    return map(_instances(s.n, law.arity).__getitem__, bits(_read_on_bytes(s, law)))
 
 
 def _law_reports(s: RawStructure, laws: dict[str, Law]) -> list[CheckReport]:
     return [CheckReport.collect(name, _violations(s, law)) for name, law in laws.items()]
 
 
-# --- the axioms on byte tables -------------------------------------------------
-#
-# On a carrier of at most BYTE_VERDICT_SIZE elements every index a*n+b of
-# the row-major table fits in one byte, so a term is evaluated at every
-# instantiation at once.  A variable is the byte string of its values in
-# itertools.product order (`_grid`); op[a][b] gathers `op_bytes` at the
-# indices a*n+b, formed by one `bytes.translate` (a to a*n) and one big-int
-# addition of b, which adds byte by byte since no sum reaches 256; a cone
-# test reads the gathered bytes through `cone_digits` as one binary
-# number.  `_BYTE_AXIOMS` restates each law of AXIOMS as the bitmask of its
-# violating instantiations, the first instantiation the most significant
-# bit; tests and a CI step check the two statements against each other.
-
-BYTE_VERDICT_SIZE = 16
-
-_FLIP = bytes.maketrans(b"01", b"10")
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
-@cache
-def _grid(n: int, arity: int) -> tuple[bytes, ...]:
-    """Per variable, its value at every instantiation of `arity` variables
-    over n elements, in itertools.product order."""
-    return tuple(map(bytes, zip(*itertools.product(range(n), repeat=arity))))
-
-
-@cache
-def _times(n: int) -> bytes:
-    """The `bytes.translate` table sending a < n to a*n."""
-    return bytes(range(0, n * n, n)).ljust(256, b"\0")
-
-
-@cache
-def _distinct(n: int) -> int:
-    """The pairs (x, y) over n elements with x != y, as a bitmask."""
-    x, y = _grid(n, 2)
-    return int(bytes(b"01"[a != b] for a, b in zip(x, y)), 2)
-
-
-class _Terms:
-    """The terms of one structure, each at every instantiation at once."""
-
-    def __init__(self, s: RawStructure):
-        self.s = s
-        self.table = s.op_bytes.ljust(256, b"\0")
-        self.times = _times(s.n)
-
-    def op(self, a: bytes, b: bytes) -> bytes:
-        """op[a][b]."""
-        index = int.from_bytes(a.translate(self.times), "big") + int.from_bytes(b, "big")
-        return index.to_bytes(len(a), "big").translate(self.table)
-
-    def cone(self, v: bytes) -> int:
-        """Where v lies in the stored cone."""
-        return int(v.translate(self.s.cone_digits), 2)
-
-    def out(self, v: bytes) -> int:
-        """Where v lies outside the stored cone."""
-        return int(v.translate(self.s.cone_digits).translate(_FLIP), 2)
-
-    @property
-    def order(self) -> int:
-        """Where x <= y in the stored relation, over the pairs (x, y)."""
-        return int(bytes(itertools.chain.from_iterable(self.s.order)).translate(_DIGITS), 2)
-
-    @property
-    def distinct(self) -> int:
-        """Where x != y, over the pairs (x, y)."""
-        return _distinct(self.s.n)
-
-
-_BYTE_AXIOMS: dict[str, Callable[..., int]] = {
-    "OBCI-1": lambda t, x, y, z: t.out(t.op(t.op(x, y), t.op(t.op(y, z), t.op(x, z)))),
-    "OBCI-2": lambda t, x, y: t.out(t.op(x, t.op(t.op(x, y), y))),
-    "OBCI-3": lambda t, x: t.out(t.op(x, x)),
-    "OBCI-4": lambda t, x, y: t.cone(t.op(x, y)) & t.cone(t.op(y, x)) & t.distinct,
-    "OBCI-5": lambda t, x, y: t.order ^ t.cone(t.op(x, y)),
-    "OBCI-6": lambda t, x, y: t.cone(x) & t.order & t.out(y),
-}
-
-
-def _byte_violations(s: RawStructure, axiom: str) -> int:
-    """The instantiations violating `axiom` as one bitmask, the first the
-    most significant bit, decided on byte tables; `s` has at most
-    BYTE_VERDICT_SIZE elements."""
-    return _BYTE_AXIOMS[axiom](_Terms(s), *_grid(s.n, AXIOMS[axiom].arity))
-
-
 # --- axiom evaluation ------------------------------------------------------
 
 def check_axiom(s: RawStructure, axiom: str, *,
                 witness_cap: int | None = None) -> CheckReport:
-    """Exhaustively check one axiom; witnesses are the violating tuples.
-
-    On at most BYTE_VERDICT_SIZE elements the verdict is decided first on
-    byte tables (`_byte_violations`); the instantiations are scanned one by
-    one only to list the witnesses of a failing axiom, or on a larger
-    carrier.
-    """
+    """Exhaustively check one axiom; witnesses are the violating tuples."""
     if axiom not in AXIOMS:
         raise ValueError(f"unknown axiom id {axiom!r}")
-    holds = s.n <= BYTE_VERDICT_SIZE and not _byte_violations(s, axiom)
-    return CheckReport.collect(axiom, () if holds else _violations(s, AXIOMS[axiom]),
-                               witness_cap)
+    return CheckReport.collect(axiom, _violations(s, AXIOMS[axiom]), witness_cap)
 
 
 def axiom_reports(s: RawStructure, *,

@@ -101,20 +101,50 @@ def test_diamond_and_chain4_fail_only_linking_axiom():
         assert witness in failing["OBCI-5"].witnesses
 
 
-def test_axiom_witnesses_are_sound_and_exhaustive():
-    def violated_at(s, axiom, inst):
-        """The axiom's predicate at one instantiation (True = violated)."""
-        return AXIOMS[axiom].violated(s.op, s.order, s.order[s.unit], s.unit, *inst)
+def _reference(s):
+    """Each of the 15 laws stated literally, law id -> its violating
+    instantiations on `s` in itertools.product order."""
+    op, order, e = s.op, s.order, s.unit
+    cone = order[e]
+    laws = {
+        "OBCI-1": (3, lambda x, y, z: not cone[op[op[x][y]][op[op[y][z]][op[x][z]]]]),
+        "OBCI-2": (2, lambda x, y: not cone[op[x][op[op[x][y]][y]]]),
+        "OBCI-3": (1, lambda x: not cone[op[x][x]]),
+        "OBCI-4": (2, lambda x, y: cone[op[x][y]] and cone[op[y][x]] and x != y),
+        "OBCI-5": (2, lambda x, y: order[x][y] != cone[op[x][y]]),
+        "OBCI-6": (2, lambda x, y: cone[x] and order[x][y] and not cone[y]),
+        "unit-identity": (1, lambda x: op[e][x] != x),
+        "exchange": (3, lambda x, y, z: op[z][op[y][x]] != op[y][op[z][x]]),
+        "antitonicity": (3, lambda x, y, z:
+                         cone[op[x][y]] and not cone[op[op[y][z]][op[x][z]]]),
+        "cone-transitivity": (3, lambda x, y, z:
+                              cone[op[x][y]] and cone[op[y][z]] and not cone[op[x][z]]),
+        "prefixing": (3, lambda x, y, z: not cone[op[op[y][z]][op[op[x][y]][op[x][z]]]]),
+        "isotonicity": (3, lambda x, y, z:
+                        cone[op[x][y]] and not cone[op[op[z][x]][op[z][y]]]),
+        "order-reflexive": (1, lambda x: not order[x][x]),
+        "order-antisymmetric": (2, lambda x, y: x != y and order[x][y] and order[y][x]),
+        "order-transitive": (3, lambda x, y, z:
+                             order[x][y] and order[y][z] and not order[x][z]),
+    }
+    return {law: [t for t in itertools.product(range(s.n), repeat=arity) if violated(*t)]
+            for law, (arity, violated) in laws.items()}
 
-    for axiom in AXIOM_IDS:
-        r = check_axiom(mid3, axiom, witness_cap=None)
-        for w in r.witnesses:
-            assert violated_at(mid3, axiom, w)
-        everything = [
-            t for t in itertools.product(range(mid3.n), repeat=AXIOMS[axiom].arity)
-            if violated_at(mid3, axiom, t)
-        ]
-        assert list(r.witnesses) == everything
+
+def _assert_reports_are_the_reference(s):
+    """The 15 reports on `s` list exactly the witnesses of the literal
+    statement of their law, in order."""
+    reports = _all_law_reports(s)
+    assert [(r.law, list(r.witnesses)) for r in reports] == list(_reference(s).items()), s
+    assert all(r.holds == (not r.witnesses) and not r.truncated for r in reports), s
+
+
+def test_axiom_witnesses_are_sound_and_exhaustive():
+    algebras = [a.structure for n in (1, 2, 3) for a in enumerate_obci(n)]
+    mutants = [m for s in algebras for m in _one_change_mutants(s)]
+    assert len(mutants) == 287
+    for s in [*fx.ALGEBRAS.values(), *mutants]:  # mid3 is a fixture
+        _assert_reports_are_the_reference(s)
 
 
 def test_witness_cap_truncates():
@@ -462,20 +492,24 @@ def test_axiom_verdicts_invariant_under_relabeling(s, rng):
             check_axiom(permuted, axiom, witness_cap=1).holds
 
 
-# --- the byte verdict: the axioms decided at every instantiation at once ------
+# --- the byte reading: each law read at every instantiation at once ----------
 
-def _decoded(s, axiom):
-    """The instantiations `core._byte_violations` marks, in scan order."""
-    mask = core._byte_violations(s, axiom)
-    insts = list(itertools.product(range(s.n), repeat=AXIOMS[axiom].arity))
-    return [t for i, t in enumerate(insts) if mask >> len(insts) - 1 - i & 1]
+_LAWS = {**core.AXIOMS, **core.IDENTITIES, **core.ORDER_LAWS}
+
+
+def _decoded(s, law):
+    """The instantiations the byte reading of `law` marks, in scan order."""
+    mask = core._read_on_bytes(s, law)
+    insts = itertools.product(range(s.n), repeat=law.arity)
+    return [t for i, t in enumerate(insts) if mask >> i & 1]
 
 
 def _assert_bytes_are_the_scan(s):
-    """Each axiom's byte verdict marks exactly the instantiations its
-    predicate, scanned cell by cell, finds violated."""
-    for axiom in AXIOM_IDS:
-        assert _decoded(s, axiom) == list(core._violations(s, AXIOMS[axiom])), (s, axiom)
+    """Each of the 15 laws' byte reading marks exactly the instantiations its
+    per-instance reading finds violated."""
+    assert len(_LAWS) == 15
+    for name, law in _LAWS.items():
+        assert _decoded(s, law) == list(core._read_per_instance(s, law)), (s, name)
 
 
 def _one_change_mutants(s):
@@ -543,12 +577,34 @@ def test_a_negative_cap_is_refused_on_the_byte_path_too():
 def test_carriers_past_sixteen_elements_keep_the_scanned_verdict(monkeypatch, blank):
     product = product_structure(blank(8), blank(8))
     assert product.n == 64 > core.BYTE_VERDICT_SIZE
-    scanned = [CheckReport.collect(a, core._violations(product, AXIOMS[a]), 1)
+    scanned = [CheckReport.collect(a, core._read_per_instance(product, AXIOMS[a]), 1)
                for a in AXIOM_IDS]
 
-    def no_bytes(s, axiom):
-        raise AssertionError("a 64-element carrier reached the byte verdict")
+    def no_bytes(s, law):
+        raise AssertionError("a 64-element carrier reached the byte reading")
 
-    monkeypatch.setattr(core, "_byte_violations", no_bytes)
+    monkeypatch.setattr(core, "_read_on_bytes", no_bytes)
     assert [check_axiom(product, a, witness_cap=1) for a in AXIOM_IDS] == scanned
     assert [r.holds for r in scanned] == [True, True, True, False, False, True]
+
+
+def test_sixteen_elements_are_read_on_bytes_and_seventeen_per_instance(monkeypatch, blank):
+    readings = []
+
+    def spy(read):
+        def logged(s, law):
+            readings.append(read.__name__)
+            return read(s, law)
+        return logged
+
+    for name in ("_read_on_bytes", "_read_per_instance"):
+        monkeypatch.setattr(core, name, spy(getattr(core, name)))
+    sixteen = product_structure(diamond, chain4)
+    for s, reading in ((sixteen, "_read_on_bytes"), (blank(17), "_read_per_instance")):
+        readings.clear()
+        _assert_reports_are_the_reference(s)
+        assert readings == [reading] * 15, (s.n, readings)
+    assert sixteen.n == core.BYTE_VERDICT_SIZE
+    # the counts tests/test_cli.py pins for the uncapped library checks
+    reference = _reference(sixteen)
+    assert (len(reference["order-transitive"]), len(reference["OBCI-5"])) == (48, 34)
