@@ -25,8 +25,9 @@ itself runs again only to name the witness of a failure the atlas shows.
 The claims a sweep asks for are checked in one pass per scope, and
 `_run_part` is the one place the passes run, each through `_run_pass`,
 in the order the scopes first occur among the claims: over the
-algebras; over the O-homomorphisms, working out each one's surjectivity,
-unit preservation and reflection once; over every map, for
+algebras; over the O-homomorphisms, working out each one's surjectivity
+and unit preservation once and reading reflection, the cone condition on
+its kernel, off its source's atlas; over every map, for
 `P-kernel-alt`; and over the O-homomorphism pairs, reading each product
 from the pool, which certifies it once per sweep (`_Pool.products`),
 and building per pair only the pair map's byte table, one join of rows
@@ -85,7 +86,6 @@ from .morphisms import (
     Mapping,
     _closed_kernel_condition,
     _monotonicity,
-    check_reflection_condition,
     classify,
     decide_laws,
     enumerate_homs,
@@ -291,8 +291,8 @@ def _part_of(items, part):
 def _pool_for(sizes=None, fixtures=False, *, up_to_iso=False) -> _Pool:
     """The pool of a scope: every bundled fixture algebra that validates and
     every fixture map when `fixtures` is True, else the algebras of `sizes`
-    (1 to 3 by default); sizes or `up_to_iso` beside the fixtures, and a
-    repeated size, are refused."""
+    (1 to 3 by default); sizes or `up_to_iso` beside the fixtures, no
+    size, and a repeated size are refused."""
     if fixtures is True:
         if sizes is not None or up_to_iso:
             raise ValueError("the fixture scope takes no sizes and no up_to_iso")
@@ -303,6 +303,8 @@ def _pool_for(sizes=None, fixtures=False, *, up_to_iso=False) -> _Pool:
         raise TypeError(f"fixtures is a flag (True or False), got {fixtures!r}")
     if sizes is None:
         sizes = (1, 2, 3)
+    if not sizes:
+        raise ValueError("a sweep needs at least one size")
     if len(set(sizes)) < len(sizes):
         raise ValueError(f"a size is given twice in {tuple(sizes)}")
     return _Pool([a for n in sizes for a in enumerate_obci(n, up_to_iso=up_to_iso)])
@@ -369,9 +371,9 @@ class _MapFacts:
         self.surjective = m.is_surjective()
         self.unit = m.preserves_unit()
 
-    @cached_property
+    @property
     def reflects(self) -> bool:
-        return check_reflection_condition(self.m).holds
+        return bool(self.source.cone >> self.ker & 1)
 
     @cached_property
     def closed_kernel(self) -> CheckReport:

@@ -6,11 +6,11 @@ unit_X <= x->y  implies  unit_Y <= kappa(x)->kappa(y).  A map satisfying
 both is an O-homomorphism.  `classify` returns a MorphismClass holding one
 CheckReport per law, its witnesses the failing pairs (x, y), cut only at a
 cap its caller passes.  The order conclusions of an O-homomorphism
-(`_monotonicity`, `_closed_kernel_condition`, `check_reflection_condition`)
-list every witness.  `decide_laws` decides both laws at once on a
-byte table, for the fast path of `classify` and the pass over pairs of
-O-homomorphisms.  Kernels are defined for arbitrary mappings:
-ker(kappa) = {x : unit_Y <= kappa(x)} under the target's stored relation.
+(`_monotonicity`, `_closed_kernel_condition`) list every witness.
+`decide_laws` decides both laws at once on a byte table, for the fast
+path of `classify` and the pass over pairs of O-homomorphisms.  Kernels
+are defined for arbitrary mappings: ker(kappa) = {x : unit_Y <= kappa(x)}
+under the target's stored relation; reflection is the cone condition on it.
 `enumerate_maps` yields every map between two carriers and
 `enumerate_homs` only the homomorphisms, both in lexicographic table order.
 """
@@ -31,6 +31,7 @@ from .core import (
     _Value,
     bits,
 )
+from .substructures import satisfies_cone_condition
 
 DEFAULT_MAP_BUDGET = 10_000_000
 
@@ -224,11 +225,8 @@ def _closed_kernel_condition(m: Mapping, ker: int) -> CheckReport:
 
 
 def check_reflection_condition(m: Mapping) -> CheckReport:
-    """unit_Y <= kappa(x) reflects to unit_X <= x (no morphism law assumed)."""
-    cone_s = m.source.order[m.source.unit]
-    cone_t = m.target.order[m.target.unit]
-    viol = ((x,) for x in range(m.source.n) if cone_t[m.table[x]] and not cone_s[x])
-    return CheckReport.collect("reflection-condition", viol)
+    """unit_Y <= kappa(x) forces unit_X <= x: the cone condition on ker(kappa)."""
+    return satisfies_cone_condition(m.source, kernel(m))._replace(law="reflection-condition")
 
 
 def image_mask(m: Mapping, mask: int) -> int:

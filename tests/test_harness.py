@@ -1,6 +1,8 @@
 import gc
 import hashlib
+import itertools
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -181,6 +183,18 @@ def test_a_repeated_size_is_refused(monkeypatch):
         for jobs in (1, 2):
             with pytest.raises(ValueError, match="twice"):
                 verify_all(claims, sizes=sizes, jobs=jobs)
+
+
+def test_a_sweep_over_no_size_is_refused(monkeypatch):
+    # no size gives an empty pool, over which every claim would read as
+    # verified with nothing checked and every search as finding nothing
+    monkeypatch.setattr(multiprocessing, "Process", _no_process)
+    for jobs in (1, 2):
+        with pytest.raises(ValueError, match="at least one size"):
+            verify_all(("P-identities", "T-ksets"), sizes=(), jobs=jobs)
+    for query in ("hom-not-omap", "T-kernel-filter"):
+        with pytest.raises(ValueError, match="at least one size"):
+            find_counterexample(query, sizes=())
 
 
 def test_fixture_scope_skips_unvalidated_endpoints():
@@ -983,3 +997,45 @@ def test_size_four_iso_sweep_counts(jobs):
     lines = b"".join(repr((r.claim, c.context, c.witness)).encode() + b"\n"
                      for r in reports for c in r.counterexamples)
     assert hashlib.sha256(lines).hexdigest() == _SIZE_FOUR_ISO_DIGEST
+
+
+# --- the orbit oracle: weighted isomorphism classes give the labelled counts --
+
+def _automorphisms(s):
+    """The number of unit-fixing permutations of s's carrier that preserve
+    its operation and its stored relation, by brute force."""
+    rest = [x for x in range(s.n) if x != s.unit]
+    xs = range(s.n)
+    count = 0
+    for tail in itertools.permutations(rest):
+        p = list(xs)
+        for x, y in zip(rest, tail):
+            p[x] = y
+        count += all(p[s.op[x][y]] == s.op[p[x]][p[y]]
+                     and s.order[x][y] == s.order[p[x]][p[y]]
+                     for x in xs for y in xs)
+    return count
+
+
+def _orbit_weighted(sizes):
+    """Each isomorphism class of `sizes` listed (n-1)!/|Aut| times, once for
+    each labelled algebra on {0..n-1} with the unit at 0 that it has."""
+    return [a for n in sizes for a in enumerate_obci(n, up_to_iso=True)
+            for _ in range(math.factorial(n - 1) // _automorphisms(a.structure))]
+
+
+def test_classes_weighted_by_orbit_size_give_every_labelled_count():
+    # Every claim is invariant under isomorphism, so a pool that lists each
+    # class once per labelled copy has each labelled sweep's (checked,
+    # skipped, number of counterexamples) for every claim.  Counterexamples
+    # name their algebras, so only their numbers are compared.  CI repeats
+    # this for the non-pair claims at sizes 1-4.
+    assert [len(_orbit_weighted((n,))) for n in (1, 2, 3, 4)] == [1, 2, 10, 167]
+
+    def counts(pool):
+        return {r.claim: (r.instances_checked, r.hypothesis_skipped, len(r.counterexamples))
+                for r in harness._run_part(CLAIM_IDS, pool, 0, 1)}
+
+    weighted = harness._Pool(_orbit_weighted((1, 2, 3)))
+    assert len(weighted.algebras) == 13
+    assert counts(weighted) == counts(harness._pool_for((1, 2, 3)))

@@ -30,6 +30,7 @@ from obci.morphisms import (
     image_mask,
     kernel_mask,
 )
+from obci.substructures import Atlas
 
 exy = fx.ALGEBRAS["exy"]
 ea = fx.ALGEBRAS["ea"]
@@ -263,6 +264,17 @@ def reference_classify(m, witness_cap):
                          reference_report("o-map", omap_w, witness_cap))
 
 
+def reference_reflection(m):
+    """The reflection condition's witnesses (x,) in ascending order: x is
+    flagged when unit_Y <= m(x) and not unit_X <= x, on the stored relations."""
+    src, dst = m.source, m.target
+    found = []
+    for x in range(src.n):
+        if dst.order[dst.unit][m.table[x]] and not src.order[src.unit][x]:
+            found.append((x,))
+    return found
+
+
 def reference_report(law, witnesses, cap):
     """A law's report from all of its witnesses, the list cut at the cap."""
     if cap is None or len(witnesses) <= cap:
@@ -328,6 +340,26 @@ def test_classify_scans_the_cells_of_carriers_beyond_a_byte(blank, point):
     for m in (identity_map(big), constant_to_unit(big, point), constant_to_unit(point, big),
               Mapping(point, big, (256,))):
         assert classify(m, witness_cap=1) == reference_classify(m, 1), m.table[:2]
+
+
+def test_reflection_condition_is_the_literal_loop_and_the_atlas_cone_bit():
+    # every map between the labelled algebras of sizes 1-3 and the five
+    # fixtures: mid3 breaks linking, and diamond and chain4 are not
+    # transitive as stored, so the stored relations are read as they are
+    structures = [a.structure for n in (1, 2, 3) for a in enumerate_obci(n)]
+    structures += fx.ALGEBRAS.values()
+    cones = {s: Atlas.of(s).cone for s in structures}
+    maps = failing = 0
+    for src in structures:
+        for dst in structures:
+            for m in enumerate_maps(src, dst):
+                witnesses = reference_reflection(m)
+                assert check_reflection_condition(m) == \
+                    reference_report("reflection-condition", witnesses, None), m
+                assert cones[src] >> kernel(m).mask & 1 == (not witnesses), m
+                maps += 1
+                failing += bool(witnesses)
+    assert maps == 9300 and 0 < failing < maps
 
 
 @st.composite
